@@ -355,7 +355,7 @@ pub fn run(set: &SourceSet) -> Report {
     // ---- 4. deprecated-api ------------------------------------------
     for (f, node) in g.fns.iter().enumerate() {
         let file = &parsed_owned[node.file];
-        if node.item.is_test || file.path == rules::DEPRECATED_EXEMPT {
+        if node.item.is_test {
             continue;
         }
         for (ci, site) in node.facts.calls.iter().enumerate() {
@@ -382,7 +382,7 @@ pub fn run(set: &SourceSet) -> Report {
         }
     }
     for file in &parsed_owned {
-        if file.path == rules::DEPRECATED_EXEMPT || !analyzed_scope(&file.path) {
+        if !analyzed_scope(&file.path) {
             continue;
         }
         for &line in &file.allow_deprecated {
@@ -390,8 +390,8 @@ pub fn run(set: &SourceSet) -> Report {
                 rule: "deprecated-api",
                 path: file.path.clone(),
                 line,
-                message: "`#[allow(deprecated)]` outside crates/core/src/compat.rs; \
-                          migrate the call instead of silencing the compiler"
+                message: "`#[allow(deprecated)]` outside test code; migrate the call \
+                          instead of silencing the compiler"
                     .into(),
                 chain: Vec::new(),
             });
@@ -498,7 +498,7 @@ fn rel_path(root: &Path, path: &Path) -> String {
 
 /// Computes the Rust module path of a repo-relative file path:
 /// `crates/core/src/ring.rs` → `cronus_core::ring`,
-/// `src/bin/obs-diff.rs` → `obs_diff`, `tests/security.rs` → `security`.
+/// `src/bin/my-tool.rs` → `my_tool`, `tests/security.rs` → `security`.
 pub fn module_of(path: &str) -> String {
     let stemmed = |s: &str| s.trim_end_matches(".rs").replace('-', "_");
     if let Some(rest) = path.strip_prefix("crates/") {
@@ -553,7 +553,7 @@ mod tests {
         );
         assert_eq!(module_of("crates/bench/src/bin/fig7.rs"), "fig7");
         assert_eq!(module_of("crates/bench/benches/srpc.rs"), "srpc");
-        assert_eq!(module_of("src/bin/obs-diff.rs"), "obs_diff");
+        assert_eq!(module_of("src/bin/my-tool.rs"), "my_tool");
         assert_eq!(module_of("src/lib.rs"), "cronus");
         assert_eq!(module_of("tests/security.rs"), "security");
     }
@@ -601,12 +601,12 @@ mod tests {
     fn deprecated_calls_resolved_not_matched() {
         let r = run(&set(&[
             (
-                "crates/core/src/compat.rs",
+                "crates/core/src/legacy.rs",
                 "pub struct S;\nimpl S {\n#[deprecated(note = \"use new\")]\npub fn old(&self) {}\n}\n",
             ),
             (
                 "crates/mos/src/x.rs",
-                "use cronus_core::compat::S;\npub fn f(s: &S) { s.old(); }\n",
+                "use cronus_core::legacy::S;\npub fn f(s: &S) { s.old(); }\n",
             ),
         ]));
         assert_eq!(r.findings.len(), 1, "{}", r.render());

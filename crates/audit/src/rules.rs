@@ -69,12 +69,11 @@ Accepted sites are ratcheted in LINT_BASELINE.json.",
     },
     Rule {
         name: "deprecated-api",
-        summary: "no calls to #[deprecated] items outside the compat shim",
+        summary: "no calls to #[deprecated] items outside test code",
         explain: "Call sites are resolved through the call graph; any call whose \
 every candidate target carries #[deprecated] is a finding unless the caller \
-lives in crates/core/src/compat.rs or test code. `#[allow(deprecated)]` \
-attributes outside the shim are findings too — silencing the compiler is not \
-migrating. This replaces the old token-matching rule, so aliased or re-exported \
+is test code. `#[allow(deprecated)]` attributes outside test code are \
+findings too — silencing the compiler is not migrating. This replaces the old token-matching rule, so aliased or re-exported \
 calls are caught and longer method names cannot false-positive.",
     },
     Rule {
@@ -89,10 +88,12 @@ findings so the list cannot rot.",
     },
     Rule {
         name: "no-wall-clock",
-        summary: "wall-clock reads only in crates/obs and crates/bench",
-        explain: "std::time::{Instant,SystemTime} reads outside crates/obs and \
-crates/bench break simulation determinism; everything else runs on the \
-simulated clock. The deterministic observatory files \
+        summary: "wall-clock reads only in crates/obs, crates/bench and perfbench",
+        explain: "std::time::{Instant,SystemTime} reads outside crates/obs, \
+crates/bench and perfbench break simulation determinism; everything else runs \
+on the simulated clock. crates/bench and perfbench are host-time measurement \
+code, and both require their simulated readouts to repeat bit for bit. The \
+deterministic observatory files \
 crates/obs/src/{queue,slo,bundle,diff,meter,fairness}.rs are carved out of \
 the exemption: they promise byte-identical output per seed.",
     },
@@ -131,8 +132,9 @@ pub const NO_UNWRAP_SCOPES: [&str; 4] = [
     "crates/forensics/src",
 ];
 
-/// Crates allowed to read the wall clock.
-pub const WALL_CLOCK_EXEMPT: [&str; 2] = ["crates/obs", "crates/bench"];
+/// Crates allowed to read the wall clock: the recorder and the two
+/// host-time measurement harnesses (figure benches and the repo benchmark).
+pub const WALL_CLOCK_EXEMPT: [&str; 3] = ["crates/obs", "crates/bench", "perfbench"];
 
 /// Observatory analysis files held to the strict rules despite living in
 /// the otherwise-exempt `crates/obs`.
@@ -163,10 +165,6 @@ pub const PANIC_SCOPES: [&str; 6] = [
     "crates/crypto/src",
     "crates/forensics/src",
 ];
-
-/// The compat shim: the one file allowed to define and reference
-/// deprecated APIs.
-pub const DEPRECATED_EXEMPT: &str = "crates/core/src/compat.rs";
 
 /// True when `path` sits under one of `scopes`.
 pub fn in_scope(path: &str, scopes: &[&str]) -> bool {
@@ -324,8 +322,8 @@ pub fn wall_clock_findings(file: &ParsedFile, out: &mut Vec<Finding>) {
                 path: file.path.clone(),
                 line: t.line,
                 message: format!(
-                    "`{id}` wall-clock read outside crates/obs and crates/bench \
-                     breaks simulation determinism; use the simulated clock"
+                    "`{id}` wall-clock read outside crates/obs, crates/bench and \
+                     perfbench breaks simulation determinism; use the simulated clock"
                 ),
                 chain: Vec::new(),
             });
@@ -425,6 +423,17 @@ mod tests {
     }
 
     #[test]
+    fn wall_clock_exempt_in_the_repo_benchmark_only() {
+        let read = "fn f() { let t = std::time::Instant::now(); }";
+        let mut out = Vec::new();
+        wall_clock_findings(&file("perfbench/src/stats.rs", read), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // Only the top-level harness is exempt, not a crate sharing its name.
+        wall_clock_findings(&file("crates/perfbench/src/x.rs", read), &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+    }
+
+    #[test]
     fn wall_clock_in_string_or_test_is_clean() {
         let mut out = Vec::new();
         wall_clock_findings(
@@ -464,6 +473,42 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// Every declared source/sink/sanitizer/root suffix must resolve to
+    /// at least one function in this repo — a dead entry means the rule
+    /// silently stopped covering what it claims to cover (exactly how a
+    /// `crypto::measure` entry once went dead when segment alignment
+    /// rejected it against `cronus_crypto::measure`).
+    #[test]
+    fn every_configured_path_resolves_in_this_repo() {
+        use crate::engine::SourceSet;
+        use crate::facts::extract;
+
+        // CARGO_MANIFEST_DIR is crates/audit; the repo root is two up.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(std::path::Path::parent)
+            .expect("repo root");
+        let set = SourceSet::load(root).expect("sources load");
+        let parsed: Vec<_> = set.files.iter().map(|f| f.parsed.clone()).collect();
+        let facts: Vec<Vec<_>> = parsed
+            .iter()
+            .map(|f| f.fns.iter().map(|i| extract(&f.tokens, i)).collect())
+            .collect();
+        let g = CallGraph::build(&parsed, &facts);
+        let mut dead = Vec::new();
+        for suffix in SOURCE_PATHS
+            .iter()
+            .chain(&SINK_PATHS)
+            .chain(&SANITIZER_PATHS)
+            .chain(&ROOT_PATHS)
+        {
+            if !g.fns.iter().any(|n| path_ends_with(&n.item.qual, suffix)) {
+                dead.push(*suffix);
+            }
+        }
+        assert!(dead.is_empty(), "dead rule-config entries: {dead:?}");
     }
 
     #[test]

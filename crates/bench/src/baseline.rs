@@ -444,7 +444,7 @@ pub fn write_bundle(bundle: &TelemetryBundle) -> std::io::Result<PathBuf> {
     if !base.exists() {
         fs::write(&base, &json)?;
         println!(
-            "[bench] seeded bundle baseline {} — commit it to enable obs-diff",
+            "[bench] seeded bundle baseline {} — commit it to enable `obs diff`",
             base.display()
         );
     }

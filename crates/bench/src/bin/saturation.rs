@@ -1,4 +1,4 @@
-//! Regenerates the saturation baseline (the obs-report mixed workload).
+//! Regenerates the saturation baseline (the `obs report` mixed workload).
 //!
 //! Not a paper figure, but it is the run that pushes every queue class at
 //! once, so its bundle is the richest input the differential-forensics

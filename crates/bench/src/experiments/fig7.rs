@@ -74,7 +74,7 @@ pub fn run_recorded(scale: usize) -> (Vec<Fig7Row>, FlightRecorder) {
 /// [`run_recorded`] with an optional armed fault on the CRONUS system (the
 /// baselines never see it). This is the synthetic-regression entry point the
 /// differential-forensics tests use: arm a completion-delay fault, capture
-/// the bundle, and `obs-diff` must rank the slowed queue as top offender.
+/// the bundle, and `obs diff` must rank the slowed queue as top offender.
 pub fn run_recorded_faulted(
     scale: usize,
     fault: Option<ArmedFault>,

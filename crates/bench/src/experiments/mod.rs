@@ -62,11 +62,33 @@ pub fn multi_gpu_boot(gpus: u8) -> BootConfig {
     }
 }
 
+/// Every figure [`recorded_figure`] knows, in report order.
+pub const FIGURES: [&str; 10] = [
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10a",
+    "fig10b",
+    "fig11a",
+    "fig11b",
+    "rpc_micro",
+    "saturation",
+    "fig_interference",
+];
+
+/// Default seed for the seeded workloads (saturation, fig_interference).
+pub const DEFAULT_SEED: u64 = 42;
+
+/// Default call count for the saturation workload.
+pub const DEFAULT_CALLS: u64 = 400;
+
 /// Runs figure `name` at a reduced, diagnosis-friendly scale and returns
-/// its flight recorder, or `None` for an unknown name. `obs-report` and the
+/// its flight recorder, or `None` for an unknown name. `seed` drives the
+/// seeded workloads (saturation, fig_interference) and `calls` sizes
+/// saturation; the paper figures are fixed. `obs report|meter` and the
 /// queue-observatory umbrella test use this to point the analyzer at any
 /// figure's queues without paying for the full bench scale.
-pub fn recorded_figure(name: &str) -> Option<cronus_obs::FlightRecorder> {
+pub fn recorded_figure(name: &str, seed: u64, calls: u64) -> Option<cronus_obs::FlightRecorder> {
     Some(match name {
         "fig7" => fig7::run_recorded(2).1,
         "fig8" => fig8::run_recorded().1,
@@ -76,8 +98,8 @@ pub fn recorded_figure(name: &str) -> Option<cronus_obs::FlightRecorder> {
         "fig11a" => fig11::run_11a_recorded(&[1, 2]).1,
         "fig11b" => fig11::run_11b_recorded(&[1, 2]).1,
         "rpc_micro" => rpc_micro::run_recorded(200).2,
-        "saturation" => saturation::run_recorded(42, 400),
-        "fig_interference" => interference::run_recorded(42, 24).recorder,
+        "saturation" => saturation::run_recorded(seed, calls),
+        "fig_interference" => interference::run_recorded(seed, 24).recorder,
         _ => return None,
     })
 }

@@ -1,10 +1,10 @@
-//! The obs-report saturation workload.
+//! The `obs report` saturation workload.
 //!
 //! Not a paper figure: a seeded mix of bursty sRPC echo traffic, staging
 //! DMA and GPU kernel launches that pushes every instrumented queue class
 //! at once — sRPC rings, the dispatch queue, the PCIe DMA engine and the
 //! device completion queues — so the bottleneck-attribution report has real
-//! contention to rank. `cargo run --bin obs-report` drives it by default.
+//! contention to rank. `cargo run --bin obs -- report` drives it by default.
 
 use std::collections::BTreeMap;
 

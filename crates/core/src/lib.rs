@@ -73,7 +73,6 @@
 //! that replaced stringly-typed handler failures.
 
 pub mod call;
-pub mod compat;
 pub mod dispatcher;
 pub mod error;
 pub mod inject;

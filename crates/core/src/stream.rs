@@ -4,9 +4,7 @@
 //! opening (or re-opening) an sRPC stream; the builder collects the ring
 //! geometry, the zero-copy grant threshold and the default deadline, then
 //! commits with [`StreamBuilder::open`] or [`StreamBuilder::reopen`]. It
-//! mirrors the [`crate::call::Call`] builder: positional-argument
-//! `open_stream(caller, callee, pages)` lives on only as a deprecated shim
-//! in [`crate::compat`].
+//! mirrors the [`crate::call::Call`] builder.
 //!
 //! ```ignore
 //! // 16 depth-1 lanes: the latency-optimal geometry for small calls.

@@ -920,7 +920,7 @@ impl CronusSystem {
             let track = rec.track(&format!("stream:{}", id.0));
             rec.complete_span(track, "open", "srpc", opened.saturating_sub(setup), opened);
             // One queue station per lane: per-stream (and per-lane)
-            // attribution is what lets obs-report name the bounding stream
+            // attribution is what lets `obs report` name the bounding stream
             // instead of one aggregate `srpc.ring:1`.
             for lane in 0..layout.lanes {
                 rec.queue_declare(
@@ -2864,9 +2864,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_api_covers_every_shimmed_call_shape() {
-        // Migrated off the deprecated shims (they now live — and are tested —
-        // in `crate::compat`, the one module the deprecated-use lint exempts).
+    fn builder_api_covers_every_call_shape() {
         let mut sys = CronusSystem::boot(config());
         let (_cpu, _gpu, stream) = setup_pair(&mut sys);
         sys.call(stream, "launch").payload(&[1]).start().unwrap();

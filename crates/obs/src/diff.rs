@@ -578,7 +578,7 @@ impl BundleDiff {
     }
 
     /// Machine-readable form of the full diff, for the shared
-    /// [`crate::json::report_document`] envelope behind `obs-diff --json`.
+    /// [`crate::json::report_document`] envelope behind `obs diff --json`.
     /// Field order (and therefore rendered bytes) is deterministic.
     pub fn to_json(&self) -> Json {
         let pair = |(b, c): &(Option<String>, Option<String>)| {

@@ -201,14 +201,15 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Schema tag of the uniform CLI report envelope: every `--json` report the
-/// observability binaries emit (`obs-report`, `obs-diff`, `obs-meter`) wraps
-/// its body in [`report_document`] under this tag, so CI consumers parse one
-/// shape regardless of which tool produced the artifact.
+/// `obs` CLI emits (`obs report`, `obs diff`, `obs meter`) wraps its body
+/// in [`report_document`] under this tag, so CI consumers parse one shape
+/// regardless of which subcommand produced the artifact.
 pub const REPORT_SCHEMA: &str = "cronus-report/v1";
 
 /// Wraps a report body in the shared CLI envelope:
 /// `{"schema": "cronus-report/v1", "kind": <kind>, "body": <body>}`.
-/// `kind` names the report type (`"queue"`, `"slo"`, `"diff"`, `"meter"`).
+/// `kind` names the subcommand that produced it (`"report"`, `"diff"`,
+/// `"meter"`).
 pub fn report_document(kind: &str, body: Json) -> Json {
     Json::Obj(vec![
         ("schema".to_string(), Json::Str(REPORT_SCHEMA.to_string())),

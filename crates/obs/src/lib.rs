@@ -18,7 +18,7 @@
 //!   latency, per stream and overall) and the p99 outlier report.
 //! - [`queue`]: the queueing & saturation observatory — per-queue depth,
 //!   wait/service split, USE metrics, Little's-law cross-checks and the
-//!   ranked bottleneck-attribution report behind `cargo run --bin obs-report`.
+//!   ranked bottleneck-attribution report behind `cargo run --bin obs -- report`.
 //! - [`slo`]: per-figure p50/p99 wait budgets with error-budget burn rates,
 //!   gated by `scripts/ci.sh --slo`.
 //! - [`bundle`]: schema-versioned [`bundle::TelemetryBundle`] archives —
@@ -26,14 +26,14 @@
 //!   exemplars, folded stacks and exemplar timelines — committed per figure
 //!   as `BUNDLE_<name>.json` next to the bench baselines.
 //! - [`diff`]: the differential forensics engine behind
-//!   `cargo run --bin obs-diff` — ranked per-queue/per-category attribution
+//!   `cargo run --bin obs -- diff` — ranked per-queue/per-category attribution
 //!   verdicts, flamegraph frame diffs and bounding-queue transitions that
 //!   make a red bench gate self-explaining.
 //! - [`meter`]: per-principal resource metering — every simulated quantum
 //!   (CPU/SM/NPU time, DMA bytes, ring-slot and arena occupancy, stage-2
 //!   pages, world switches, crypto) charged to an owning partition with
 //!   stream sub-accounts, balanced against the profiler by an exact
-//!   conservation self-test; behind `cargo run --bin obs-meter`.
+//!   conservation self-test; behind `cargo run --bin obs -- meter`.
 //! - [`fairness`]: Jain's index and dominant-resource shares over the meter
 //!   ledgers, plus the deterministic noisy-neighbor interference matrix
 //!   (backlog waits attributed to the principals occupying the contended

@@ -29,8 +29,8 @@
 # the shrunk-or-justified LINT_BASELINE.json.
 #
 # With --audit, also runs the isolation auditor (see AUDIT.md): the
-# repo-rule source lint, then the mapping-state audit of every example
-# workload scenario, failing on any lint finding or invariant violation.
+# mapping-state audit of every example workload scenario, failing on any
+# invariant violation. The source lint is --lint.
 #
 # With --forensics, also runs the forensics gate (see FORENSICS.md): the
 # failover timeline reconstruction (ledger and span evidence must agree on
@@ -40,18 +40,18 @@
 # is a campaign invariant.
 #
 # With --slo, also runs the queue observatory gate (see OBSERVABILITY.md):
-# obs-report analyzes representative figure workloads, failing on any
+# `obs report` analyzes representative figure workloads, failing on any
 # Little's-law cross-check violation (the instrumentation self-test) or any
 # per-figure SLO burn-rate breach.
 #
 # With --diff, also runs the differential-forensics gate (see
 # OBSERVABILITY.md, "Explaining a regression"): regenerates fresh telemetry
 # bundles for representative figures and self-diffs them against the
-# committed BUNDLE_*.json baselines with obs-diff, which must report "no
+# committed BUNDLE_*.json baselines with `obs diff`, which must report "no
 # significant deltas" (exit 0) on a clean tree.
 #
 # With --meter, also runs the resource-metering gate (see OBSERVABILITY.md,
-# "Who is using the machine?"): obs-meter replays every figure plus the
+# "Who is using the machine?"): `obs meter` replays every figure plus the
 # rpc_micro/saturation/fig_interference workloads and fails if any
 # per-principal ledger does not sum exactly to the profiler's category
 # totals (the conservation self-test), or if fig_interference's
@@ -103,9 +103,6 @@ if [[ "$run_lint" -eq 1 ]]; then
 fi
 
 if [[ "$run_audit" -eq 1 ]]; then
-  echo "==> audit gate: repo-rule source lint"
-  cargo run --offline --release -q --bin audit -- --lint
-
   echo "==> audit gate: mapping-state audit of the example workloads"
   cargo run --offline --release -q --bin audit
 fi
@@ -130,7 +127,7 @@ if [[ "$run_slo" -eq 1 ]]; then
   echo "==> slo gate: queue observatory + burn-rate budgets"
   # Representative figures: the RPC microbenchmark (ring-bound), the
   # failover path (recovery queue), and the mixed saturation workload.
-  cargo run --offline --release -q --bin obs-report -- \
+  cargo run --offline --release -q --bin obs -- report \
     --figure rpc_micro --figure fig9 --figure saturation --slo > /dev/null
 fi
 
@@ -150,18 +147,18 @@ if [[ "$run_diff" -eq 1 ]]; then
       echo "diff gate: missing committed baseline $base — run scripts/rebaseline.sh and commit it" >&2
       exit 1
     fi
-    echo "--- obs-diff $name"
-    cargo run --offline --release -q --bin obs-diff -- \
+    echo "--- obs diff $name"
+    cargo run --offline --release -q --bin obs -- diff \
       --baseline "$base" --candidate "$fresh" --verdict
   done
 fi
 
 if [[ "$run_meter" -eq 1 ]]; then
   echo "==> meter gate: conservation self-test over every figure"
-  cargo run --offline --release -q --bin obs-meter -- --all > /dev/null
+  cargo run --offline --release -q --bin obs -- meter --all > /dev/null
 
   echo "==> meter gate: fig_interference must convict the noisy GEMM partition"
-  cargo run --offline --release -q --bin obs-meter -- \
+  cargo run --offline --release -q --bin obs -- meter \
     --figure fig_interference --expect-top p4 > /dev/null
 fi
 

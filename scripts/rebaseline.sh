@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Re-baselines the bench-regression gate: re-runs every figure binary and
 # promotes the fresh target/bench/BENCH_*.json headline reports AND the
-# target/bench/BUNDLE_*.json telemetry bundles (the obs-diff inputs) to the
+# target/bench/BUNDLE_*.json telemetry bundles (the `obs diff` inputs) to the
 # committed repo-root baselines. Before rewriting anything it prints the
 # per-figure headline deltas (old -> new, direction-aware ✓/✗) so the
 # promotion is reviewable at a glance. Run this after a deliberate
 # performance change, review the diff, and commit the updated BENCH_*.json
-# and BUNDLE_*.json files together — the gate and obs-diff refuse
+# and BUNDLE_*.json files together — the gate and `obs diff` refuse
 # mismatched schemas rather than partially comparing.
 #
 # BENCH_chaos.json is the one exception: it is refreshed by the nightly

@@ -1,7 +1,7 @@
 //! Attribution correctness of the differential forensics engine.
 //!
 //! Uses the `cronus_core::inject` completion-delay fault to deterministically
-//! slow one device queue in fig7, then asserts the `obs-diff` engine ranks
+//! slow one device queue in fig7, then asserts the `obs diff` engine ranks
 //! exactly that queue (and the `queue` critical-path category) as the top
 //! regression with the right sign and magnitude. Also pins the two
 //! determinism surfaces the CLI promises: bundles are byte-identical across

@@ -4,28 +4,17 @@
 //! queue with evidence, and (c) produce byte-identical telemetry when
 //! re-run — the observatory itself is deterministic per seed.
 
-use cronus::bench::experiments::{recorded_figure, saturation};
+use cronus::bench::experiments::{
+    recorded_figure, saturation, DEFAULT_CALLS, DEFAULT_SEED, FIGURES,
+};
 use cronus::obs::queue::DEFAULT_LITTLE_TOLERANCE;
 use cronus::obs::slo::SloPolicy;
-
-/// Every workload `recorded_figure` knows about.
-const FIGURES: &[&str] = &[
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10a",
-    "fig10b",
-    "fig11a",
-    "fig11b",
-    "rpc_micro",
-    "saturation",
-];
 
 #[test]
 fn every_figure_passes_littles_law_and_names_a_bottleneck() {
     for figure in FIGURES {
-        let rec = recorded_figure(figure).expect("known figure");
-        if *figure == "fig10b" {
+        let rec = recorded_figure(figure, DEFAULT_SEED, DEFAULT_CALLS).expect("known figure");
+        if figure == "fig10b" {
             // Fig. 10b is computed analytically from the cost model — no
             // live system runs, so no queues exist to instrument.
             assert!(!rec.has_queues(), "{figure}: unexpectedly grew queues");
@@ -47,7 +36,7 @@ fn every_figure_passes_littles_law_and_names_a_bottleneck() {
         // At least one applicable (checked) verdict per figure — otherwise
         // the cross-check is vacuous. fig9 is exempt: the failover microbench
         // issues only a handful of calls, below MIN_LITTLE_DEQUEUES.
-        if *figure != "fig9" {
+        if figure != "fig9" {
             assert!(
                 report.queues.iter().any(|q| q.little.checked),
                 "{figure}: no queue qualified for the Little check:\n{}",
@@ -60,7 +49,7 @@ fn every_figure_passes_littles_law_and_names_a_bottleneck() {
 #[test]
 fn figure_slo_policies_hold_at_reduced_scale() {
     for figure in FIGURES {
-        let rec = recorded_figure(figure).expect("known figure");
+        let rec = recorded_figure(figure, DEFAULT_SEED, DEFAULT_CALLS).expect("known figure");
         let slo = rec.slo_report(&SloPolicy::for_figure(figure));
         assert!(
             slo.passed(),
@@ -72,7 +61,7 @@ fn figure_slo_policies_hold_at_reduced_scale() {
 
 #[test]
 fn unknown_figure_is_rejected() {
-    assert!(recorded_figure("fig99").is_none());
+    assert!(recorded_figure("fig99", DEFAULT_SEED, DEFAULT_CALLS).is_none());
 }
 
 #[test]

@@ -265,3 +265,17 @@ fn full_repo_report_is_byte_identical_across_runs() {
     assert_eq!(a.render(), b.render());
     assert_eq!(a.render_json(), b.render_json());
 }
+
+#[test]
+fn whole_repo_lints_clean_under_the_committed_baseline() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut report = run(&SourceSet::load(root).expect("load"));
+    let text = std::fs::read_to_string(root.join("LINT_BASELINE.json")).expect("baseline");
+    let base = Baseline::parse(&text).expect("baseline parses");
+    report.findings = baseline::apply(std::mem::take(&mut report.findings), &base).0;
+    assert!(
+        report.passed(),
+        "repo must lint clean under LINT_BASELINE.json:\n{}",
+        report.render()
+    );
+}
