@@ -196,18 +196,13 @@ pub const SOURCE_PATHS: [&str; 10] = [
 ];
 
 /// Functions whose arguments become normal-world observable.
-pub const SINK_PATHS: [&str; 23] = [
-    // Recorder / metrics labels and values.
-    "FlightRecorder::counter_add",
+pub const SINK_PATHS: [&str; 15] = [
+    // The recorder's one write path, and the stores it folds into.
+    "FlightRecorder::record",
     "MetricsRegistry::counter_add",
-    "FlightRecorder::gauge_set",
     "MetricsRegistry::gauge_set",
-    "FlightRecorder::observe",
     "MetricsRegistry::observe",
     "Histogram::observe",
-    "FlightRecorder::begin_span",
-    "FlightRecorder::complete_span",
-    "FlightRecorder::charge_detail",
     "TimeProfiler::charge_detail",
     // Ledger records and black-box snapshots.
     "Ledger::append",
@@ -219,9 +214,6 @@ pub const SINK_PATHS: [&str; 23] = [
     "baseline::emit",
     // Resource-meter usage records: ledgers hold sizes and counts only;
     // payload or grant-arena *bytes* must never reach them.
-    "FlightRecorder::meter_count",
-    "FlightRecorder::meter_occupy",
-    "FlightRecorder::meter_wait",
     "ResourceMeter::add_count",
     "ResourceMeter::record_occupancy",
     "ResourceMeter::record_wait",

@@ -195,17 +195,20 @@ fn run_fn(
                 continue;
             }
             let site = &facts.calls[ci];
-            let all_sinks = targets.iter().all(|t| cfg.sinks.contains(t));
-            let forwards = !all_sinks
+            // Method calls resolve by name to every same-named method, so a
+            // call that may land on a declared sink is a sink call: the
+            // resolution over-approximates, and so does the check.
+            let sink = targets.iter().copied().find(|t| cfg.sinks.contains(t));
+            let forwards = sink.is_none()
                 && targets
                     .iter()
                     .all(|t| summaries[*t].param_to_sink.is_some());
-            if !all_sinks && !forwards {
+            if sink.is_none() && !forwards {
                 continue;
             }
-            let callee = &g.fns[targets[0]].item;
+            let callee = &g.fns[sink.unwrap_or(targets[0])].item;
             if let Some(mut chain) = range_secret(f, g, files, &secret, site.args, &sv) {
-                let (message, note) = if all_sinks {
+                let (message, note) = if sink.is_some() {
                     (
                         format!("secret value reaches observable sink `{}`", callee.qual),
                         format!("passed into sink `{}`", callee.name),

@@ -47,8 +47,8 @@ pub fn dump(name: &str, rec: &FlightRecorder) -> std::io::Result<ArtifactPaths> 
 /// rather than failing the run (figure output is the primary artifact).
 ///
 /// Also warns when the run's simulator event log dropped events (the
-/// `eventlog.dropped` gauge, refreshed every time the system hands out its
-/// recorder): counters derived from the log undercount in that case.
+/// `eventlog.dropped` gauge, published when the run's system is dropped):
+/// counters derived from the log undercount in that case.
 pub fn dump_and_report(name: &str, rec: &FlightRecorder) {
     let dropped = rec.with(|r| r.metrics.gauge("eventlog.dropped", &LabelSet::empty()));
     if dropped > 0 {
@@ -77,8 +77,10 @@ mod tests {
     #[test]
     fn dump_writes_parseable_files() {
         let rec = FlightRecorder::new();
-        rec.counter_add("x", &[("k", "v")], 3);
-        rec.observe("lat", &[], cronus_sim::SimNs::from_nanos(512));
+        rec.record([
+            cronus_obs::Event::Count("x", &[("k", "v")], 3),
+            cronus_obs::Event::Sample("lat", &[], cronus_sim::SimNs::from_nanos(512)),
+        ]);
         let paths = dump("unit-test-dump", &rec).expect("dump succeeds");
         let metrics = std::fs::read_to_string(&paths.metrics).unwrap();
         let trace = std::fs::read_to_string(&paths.trace).unwrap();

@@ -475,6 +475,7 @@ pub fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cronus_obs::{Event, Served, Work};
 
     fn sample() -> BenchReport {
         BenchReport {
@@ -512,17 +513,21 @@ mod tests {
         assert!(err.contains("scripts/rebaseline.sh"), "{err}");
     }
 
+    /// One request through `srpc.ring:0`: waits 40 ns, served for 60 ns.
+    fn served_once(rec: &FlightRecorder) {
+        let station = "srpc.ring:0";
+        let ns = SimNs::from_nanos;
+        rec.record([
+            Event::Declare(station, cronus_obs::QueueKind::Ring, 8),
+            Event::Enqueued(station, ns(0)),
+            Served::at(station, ns(0), ns(40), ns(100)).into(),
+        ]);
+    }
+
     #[test]
     fn bundle_for_mirrors_report_headlines_and_meta() {
         let rec = FlightRecorder::new();
-        rec.queue_declare("srpc.ring:0", cronus_obs::QueueKind::Ring, 8);
-        rec.queue_enqueue("srpc.ring:0", SimNs::from_nanos(0));
-        rec.queue_dequeue(
-            "srpc.ring:0",
-            SimNs::from_nanos(100),
-            SimNs::from_nanos(40),
-            SimNs::from_nanos(60),
-        );
+        served_once(&rec);
         let rep = report(
             "unit-bundle",
             vec![Headline::lower("lat_ns", 1000.0, "ns")],
@@ -578,21 +583,11 @@ mod tests {
         let rec = FlightRecorder::new();
         let req = rec.alloc_req();
         rec.set_current_req(Some(req));
-        let t = rec.track("stream:0");
-        rec.complete_span(
-            t,
-            "dispatch:echo",
-            "srpc",
-            SimNs::from_nanos(0),
-            SimNs::from_nanos(100),
-        );
-        rec.complete_span(
-            t,
-            "exec:echo",
-            "kernel",
-            SimNs::from_nanos(100),
-            SimNs::from_nanos(400),
-        );
+        let ns = SimNs::from_nanos;
+        rec.record([
+            Work::spanned("stream:0", "dispatch:echo", "srpc", ns(0)..ns(100)),
+            Work::spanned("stream:0", "exec:echo", "kernel", ns(100)..ns(400)),
+        ]);
         rec.set_current_req(None);
         let rep = report("unit-causal", Vec::new(), Vec::new(), &rec);
         let total: u64 = rep.critical_path.iter().map(|(_, ns)| ns).sum();
@@ -610,14 +605,7 @@ mod tests {
     #[test]
     fn report_appends_queue_headlines_when_instrumented() {
         let rec = FlightRecorder::new();
-        rec.queue_declare("srpc.ring:0", cronus_obs::QueueKind::Ring, 8);
-        rec.queue_enqueue("srpc.ring:0", SimNs::from_nanos(0));
-        rec.queue_dequeue(
-            "srpc.ring:0",
-            SimNs::from_nanos(100),
-            SimNs::from_nanos(40),
-            SimNs::from_nanos(60),
-        );
+        served_once(&rec);
         let rep = report("unit-q", Vec::new(), Vec::new(), &rec);
         for key in ["queue_p99_wait_ns", "queue_max_depth", "queue_utilization"] {
             let h = rep

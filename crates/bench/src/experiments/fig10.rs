@@ -9,7 +9,7 @@
 
 use cronus_core::CronusSystem;
 use cronus_devices::npu::NpuDevice;
-use cronus_obs::FlightRecorder;
+use cronus_obs::{Event, FlightRecorder, Work};
 use cronus_runtime::{VtaContext, VtaOptions};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{CostModel, SimNs, StreamId};
@@ -99,16 +99,18 @@ pub fn run_10b() -> Vec<InferenceRow> {
 pub fn run_10b_recorded() -> (Vec<InferenceRow>, FlightRecorder) {
     let rows = run_10b();
     let rec = FlightRecorder::new();
-    let npu_track = rec.track("npu-inference");
-    let cpu_track = rec.track("cpu-inference");
     let mut npu_at = SimNs::ZERO;
     let mut cpu_at = SimNs::ZERO;
     for r in &rows {
-        rec.complete_span(npu_track, r.model, "inference", npu_at, npu_at + r.npu);
-        rec.complete_span(cpu_track, r.model, "inference", cpu_at, cpu_at + r.cpu);
-        rec.counter_add("inference.models", &[("model", r.model)], 1);
-        rec.observe("inference.npu_ns", &[("model", r.model)], r.npu);
-        rec.observe("inference.cpu_ns", &[("model", r.model)], r.cpu);
+        let labels = &[("model", r.model)];
+        let (npu_end, cpu_end) = (npu_at + r.npu, cpu_at + r.cpu);
+        rec.record([
+            Work::spanned("npu-inference", r.model, "inference", npu_at..npu_end).into(),
+            Work::spanned("cpu-inference", r.model, "inference", cpu_at..cpu_end).into(),
+            Event::Count("inference.models", labels, 1),
+            Event::Sample("inference.npu_ns", labels, r.npu),
+            Event::Sample("inference.cpu_ns", labels, r.cpu),
+        ]);
         npu_at += r.npu;
         cpu_at += r.cpu;
     }

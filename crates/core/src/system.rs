@@ -17,8 +17,8 @@ use cronus_mos::manager::Owner;
 use cronus_mos::manifest::{Eid, Manifest};
 use cronus_mos::mos::MosError;
 use cronus_obs::{
-    CountResource, ExecClass, FlightRecorder, MeterScope, Principal, QueueKind, ReqId,
-    TimeCategory, WorkerId,
+    CountResource, Event, ExecClass, FlightRecorder, MeterScope, Principal, QueueKind, ReqId,
+    Served, TimeCategory, Work, WorkerId,
 };
 use cronus_sim::machine::AsId;
 use cronus_sim::trace::EventKind;
@@ -209,16 +209,23 @@ impl std::fmt::Debug for CronusSystem {
     }
 }
 
+/// A run's trace-health gauges land in its recorder when the run ends.
+impl Drop for CronusSystem {
+    fn drop(&mut self) {
+        self.publish_trace_health();
+    }
+}
+
 impl CronusSystem {
     /// Boots the secure world and registers every partition with the
     /// dispatcher.
     pub fn boot(config: BootConfig) -> Self {
         let partitions = config.partitions.clone();
-        let mut spm = Spm::boot(config);
-        // Every system carries a flight recorder: the machine's event stream
-        // feeds its counters, and the sRPC/recovery paths charge simulated
-        // time to it. Harnesses export it via `CronusSystem::recorder`.
-        spm.set_recorder(FlightRecorder::new());
+        // The SPM boots with the system's flight recorder: the machine's
+        // event stream feeds its counters, and the sRPC/recovery paths
+        // charge simulated time to it. Harnesses export it via
+        // `CronusSystem::recorder`.
+        let spm = Spm::boot(config);
         let mut dispatcher = Dispatcher::new();
         for spec in &partitions {
             let asid = cronus_spm::spm::asid_of(spec.mos_id);
@@ -296,9 +303,11 @@ impl CronusSystem {
             self.audit_hook = Some(hook);
             if violations > 0 {
                 self.audit_violations += violations;
-                if let Some(rec) = self.spm.recorder() {
-                    rec.counter_add("audit.violations", &[("point", point)], violations as u64);
-                }
+                self.spm.recorder().record([Event::Count(
+                    "audit.violations",
+                    &[("point", point)],
+                    violations as u64,
+                )]);
             }
         }
     }
@@ -310,18 +319,13 @@ impl CronusSystem {
 
     /// Runs `f` with the resource meter's ambient scope set to `scope`,
     /// restoring the previous scope afterwards (even across `?`-style early
-    /// returns inside `f`, since the restore happens here). `None` scope —
-    /// or no recorder — runs `f` unscoped.
+    /// returns inside `f`, since the restore happens here). `None` scope
+    /// runs `f` unscoped.
     fn metered<T>(&mut self, scope: Option<MeterScope>, f: impl FnOnce(&mut Self) -> T) -> T {
-        let prev = match (scope, self.spm.recorder()) {
-            (Some(sc), Some(rec)) => Some(rec.set_meter_scope(sc)),
-            _ => None,
-        };
+        let prev = scope.map(|sc| self.spm.recorder().set_meter_scope(sc));
         let out = f(self);
         if let Some(prev) = prev {
-            if let Some(rec) = self.spm.recorder() {
-                rec.set_meter_scope(prev);
-            }
+            self.spm.recorder().set_meter_scope(prev);
         }
         out
     }
@@ -375,35 +379,37 @@ impl CronusSystem {
     }
 
     /// A handle to the system's flight recorder (clones share state).
-    ///
-    /// Also refreshes the `eventlog.dropped` / `eventlog.total_recorded`
-    /// gauges from the simulator's [`cronus_sim::EventLog`], so snapshots
-    /// taken from the handle expose silent trace truncation.
     pub fn recorder(&self) -> FlightRecorder {
-        let rec = self.spm.recorder().cloned().unwrap_or_default();
+        self.spm.recorder().clone()
+    }
+
+    /// Publishes the end-of-run trace-health gauges: `eventlog.dropped` /
+    /// `eventlog.total_recorded` from the simulator's
+    /// [`cronus_sim::EventLog`], so exported snapshots expose silent trace
+    /// truncation, and the ledger's companion pair (`ledger.evicted`
+    /// staying at zero is what licenses the completeness check). Runs when
+    /// the system is dropped, which is before figure harnesses export the
+    /// recorder they took from it.
+    fn publish_trace_health(&self) {
         let log = self.spm.machine().log();
-        rec.gauge_set("eventlog.dropped", &[], log.dropped() as i64);
-        rec.gauge_set("eventlog.total_recorded", &[], log.total_recorded() as i64);
-        // The companion pair for the security-event ledger: `ledger.evicted`
-        // staying at zero is what licenses the completeness check.
         let ledger = self.spm.ledger();
-        rec.gauge_set("ledger.records", &[], ledger.records_total() as i64);
-        rec.gauge_set("ledger.evicted", &[], ledger.evicted_total() as i64);
-        rec
+        let gauge = |name, value: u64| Event::Gauge(name, &[], value as i64);
+        self.spm.recorder().record([
+            gauge("eventlog.dropped", log.dropped()),
+            gauge("eventlog.total_recorded", log.total_recorded()),
+            gauge("ledger.records", ledger.records_total()),
+            gauge("ledger.evicted", ledger.evicted_total()),
+        ]);
     }
 
     /// Virtual time for ledger records appended by the core layer.
     fn ledger_now(&self) -> SimNs {
-        self.spm
-            .recorder()
-            .map(FlightRecorder::total_elapsed)
-            .unwrap_or(SimNs::ZERO)
+        self.spm.recorder().total_elapsed()
     }
 
-    /// Allocates the next request id (monotonic per system). Returns the
-    /// `ReqId(0)` sentinel when the system runs without a recorder.
+    /// Allocates the next request id (monotonic per system, from 1).
     pub fn alloc_req(&self) -> ReqId {
-        self.spm.recorder().map_or(ReqId(0), |r| r.alloc_req())
+        self.spm.recorder().alloc_req()
     }
 
     /// Sets (or clears) the ambient request on the recorder: spans opened
@@ -411,9 +417,7 @@ impl CronusSystem {
     /// are attributed to that request. Runtime shims scope their staging
     /// work with this so traps land on the causing request.
     pub fn set_current_req(&self, req: Option<ReqId>) {
-        if let Some(rec) = self.spm.recorder() {
-            rec.set_current_req(req);
-        }
+        self.spm.recorder().set_current_req(req);
     }
 
     /// Records a phase marker in the event log (and as a trace instant):
@@ -519,13 +523,10 @@ impl CronusSystem {
             let cm = self.spm.machine().cost();
             cm.enclave_create + cm.dh_exchange + cm.world_switch * 2
         };
-        if let Some(rec) = self.spm.recorder() {
-            let cm = self.spm.machine().cost();
-            rec.charge_detail(TimeCategory::Mgmt, "enclave_create", cm.enclave_create);
-            rec.charge_detail(TimeCategory::Crypto, "dh_exchange", cm.dh_exchange);
-            rec.charge(TimeCategory::WorldSwitch, cm.world_switch * 2);
-            rec.counter_add("enclaves.created", &[("partition", &asid.to_string())], 1);
-        }
+        // The creation round trip crosses worlds twice, like an app ecall:
+        // record both switches so the event log agrees with the charge.
+        self.spm.machine_mut().record(EventKind::WorldSwitch);
+        self.spm.machine_mut().record(EventKind::WorldSwitch);
         let start = match actor {
             Actor::App(app) => {
                 let c = self.app_clocks.entry(app).or_default();
@@ -538,22 +539,24 @@ impl CronusSystem {
                 c.now()
             }
         };
-        if let Some(rec) = self.spm.recorder() {
-            let track = rec.track("spm");
-            rec.complete_span(
-                track,
-                format!("create {eid}"),
-                "mgmt",
-                start.saturating_sub(cost),
-                start,
-            );
+        let cm = self.spm.machine().cost();
+        let partition = asid.to_string();
+        let admitted = start.saturating_sub(cost);
+        let station = "dispatch.requests";
+        self.spm.recorder().record([
+            Work::charge_detail(TimeCategory::Mgmt, "enclave_create", cm.enclave_create)
+                .span("spm", format!("create {eid}"), "mgmt", admitted..start)
+                .into(),
+            Work::charge_detail(TimeCategory::Crypto, "dh_exchange", cm.dh_exchange).into(),
+            Work::charge(TimeCategory::WorldSwitch, cm.world_switch * 2).into(),
+            Event::Count("enclaves.created", &[("partition", &partition)], 1),
             // The dispatcher's admission queue: routing + creation is the
             // service; no cross-request contention is modeled, so the wait
             // is zero by construction.
-            rec.queue_declare("dispatch.requests", QueueKind::Dispatch, 0);
-            rec.queue_enqueue("dispatch.requests", start.saturating_sub(cost));
-            rec.queue_dequeue("dispatch.requests", start, SimNs::ZERO, cost);
-        }
+            Event::Declare(station, QueueKind::Dispatch, 0),
+            Event::Enqueued(station, admitted),
+            Served::at(station, admitted, admitted, start).into(),
+        ]);
         self.clocks.insert(eid, SimClock::at(start));
         // Ledger the exchange before the creation record: key agreement is
         // what makes the enclave addressable by its owner.
@@ -708,15 +711,15 @@ impl CronusSystem {
         ac.advance_to(done);
         ac.advance(switches);
         let resumed = ac.now();
-        if let Some(rec) = self.spm.recorder() {
-            rec.charge(TimeCategory::WorldSwitch, switches);
-            rec.charge_detail(TimeCategory::Kernel, name, exec);
-            rec.counter_add("app.ecalls", &[("mcall", name)], 1);
-            let track = rec.track(&format!("app:{}", app.0));
-            let ecall = rec.begin_span(track, format!("ecall:{name}"), "app", app_now);
-            rec.complete_span(track, "exec", "kernel", app_now, done);
-            rec.end_span(track, ecall, resumed);
-        }
+        let track = format!("app:{}", app.0);
+        self.spm.recorder().record([
+            Work::charge(TimeCategory::WorldSwitch, switches).into(),
+            Work::charge_detail(TimeCategory::Kernel, name, exec)
+                .span(&track, format!("ecall:{name}"), "app", app_now..resumed)
+                .nest("exec", "kernel", app_now..done)
+                .into(),
+            Event::Count("app.ecalls", &[("mcall", name)], 1),
+        ]);
         Ok(result)
     }
 
@@ -911,25 +914,28 @@ impl CronusSystem {
         let c = self.clock_mut(caller.eid);
         c.advance(setup);
         let opened = c.now();
-        if let Some(rec) = self.spm.recorder() {
-            let cm = self.spm.machine().cost();
+        let cm = self.spm.machine().cost();
+        let track = format!("stream:{}", id.0);
+        // One queue station per lane: per-stream (and per-lane) attribution
+        // is what lets `obs report` name the bounding stream instead of one
+        // aggregate `srpc.ring:1`.
+        let stations = lane_stations(id, layout.lanes);
+        let capacity = layout.slots_per_lane();
+        let opening = [
             // The page_map share is charged by the SPM's share_memory.
-            rec.charge_detail(TimeCategory::Crypto, "local_attest", cm.local_attest);
-            rec.charge_detail(TimeCategory::Ring, "stream_setup", cm.srpc_stream_setup);
-            rec.counter_add("srpc.streams_opened", &[], 1);
-            let track = rec.track(&format!("stream:{}", id.0));
-            rec.complete_span(track, "open", "srpc", opened.saturating_sub(setup), opened);
-            // One queue station per lane: per-stream (and per-lane)
-            // attribution is what lets `obs report` name the bounding stream
-            // instead of one aggregate `srpc.ring:1`.
-            for lane in 0..layout.lanes {
-                rec.queue_declare(
-                    &lane_station(id, lane),
-                    QueueKind::Ring,
-                    layout.slots_per_lane(),
-                );
-            }
-        }
+            Work::charge_detail(TimeCategory::Crypto, "local_attest", cm.local_attest).into(),
+            Work::charge_detail(TimeCategory::Ring, "stream_setup", cm.srpc_stream_setup)
+                .span(&track, "open", "srpc", opened.saturating_sub(setup)..opened)
+                .into(),
+            Event::Count("srpc.streams_opened", &[], 1),
+        ];
+        self.spm.recorder().record(
+            opening.into_iter().chain(
+                stations
+                    .iter()
+                    .map(|station| Event::Declare(station, QueueKind::Ring, capacity)),
+            ),
+        );
 
         let lanes = (0..layout.lanes)
             .map(|_| LaneState {
@@ -1128,9 +1134,9 @@ impl CronusSystem {
             // before the survivor is signalled, so detection precedes the
             // trap in both evidence streams the timeline cross-checks.
             let det = self.ledger_now();
-            if let Some(rec) = self.spm.recorder() {
-                rec.with(|r| r.spans.instant("failure-detected:proceed-trap", det));
-            }
+            self.spm
+                .recorder()
+                .record([Event::Instant("failure-detected:proceed-trap", det)]);
             self.spm.ledger().append(
                 crate::MONITOR_CHAIN,
                 det,
@@ -1183,20 +1189,19 @@ impl CronusSystem {
             };
             let at = self.ledger_now();
             let channel = crate::reliability::detection_channel(&converted);
-            if let Some(rec) = self.spm.recorder() {
-                rec.counter_add("srpc.streams_quarantined", &[], 1);
-                // Quarantine discards everything in flight: reflect that in
-                // every lane's queue station so drained-to-zero stays
-                // checkable.
-                let dropped: u64 = (0..lane_count)
-                    .map(|lane| rec.queue_flush(&lane_station(id, lane), at))
-                    .sum();
-                rec.counter_add("srpc.requests_flushed", &[], dropped);
-                // The marker is the span-stream's witness of the detection;
-                // the timeline reconstructor cross-checks it against the
-                // ledger record below.
-                rec.with(|r| r.spans.instant(format!("failure-detected:{channel}"), at));
-            }
+            // Quarantine discards everything in flight: reflect that in
+            // every lane's queue station so drained-to-zero stays checkable.
+            // The marker is the span-stream's witness of the detection; the
+            // timeline reconstructor cross-checks it against the ledger
+            // record below.
+            let stations = lane_stations(id, lane_count);
+            let marker = format!("failure-detected:{channel}");
+            let quarantined = Event::Count("srpc.streams_quarantined", &[], 1);
+            self.spm.recorder().record(
+                std::iter::once(quarantined)
+                    .chain(lane_flushes(&stations, at))
+                    .chain([Event::Instant(&marker, at)]),
+            );
             let chain = self
                 .streams
                 .get(&id)
@@ -1347,9 +1352,10 @@ impl CronusSystem {
                 let caller_eid = s.caller.1;
                 // The slot frees the moment its request finishes executing.
                 self.clock_mut(caller_eid).advance_to(drained.finished);
-                if let Some(rec) = self.spm.recorder() {
-                    rec.queue_error(&lane_station(id, drained.lane), drained.finished);
-                }
+                self.spm.recorder().record([Event::Stalled(
+                    &lane_station(id, drained.lane),
+                    drained.finished,
+                )]);
                 drained.lane
             }
         };
@@ -1397,9 +1403,9 @@ impl CronusSystem {
                 (grant.offset + grant.len).div_ceil(PAGE_SIZE) - grant.offset / PAGE_SIZE;
             grant_cost = self.spm.machine().cost().page_map * pages_spanned;
             // Meter arena occupancy by grant *size*, never payload bytes.
-            if let Some(rec) = self.spm.recorder() {
-                rec.meter_count(CountResource::ArenaBytes, grant.len);
-            }
+            self.spm
+                .recorder()
+                .record([Work::default().meter(CountResource::ArenaBytes, grant.len)]);
             encode_grant_request(name, grant)?
         } else {
             encode_request(&Request {
@@ -1477,26 +1483,26 @@ impl CronusSystem {
         let callee_asid = s.callee.0;
         let occupancy = s.backlog() as i64;
         self.dispatcher.note_enqueue(callee_asid);
-        if let Some(rec) = self.spm.recorder() {
-            rec.charge_detail(TimeCategory::Ring, "enqueue", enqueue_cost);
-            if doorbell_cost > SimNs::ZERO {
-                rec.charge_detail(TimeCategory::Ring, "doorbell", doorbell_cost);
-            }
-            rec.queue_enqueue(&lane_station(id, lane_idx), now);
-            rec.gauge_set(
-                "srpc.ring_occupancy",
-                &[("stream", &id.0.to_string())],
-                occupancy,
-            );
-            let track = rec.track(&format!("enclave:{}", caller.1));
-            rec.complete_span(
-                track,
-                format!("enqueue:{name}"),
-                "ring",
-                now - (enqueue_cost + doorbell_cost),
-                now,
-            );
-        }
+        let station = lane_station(id, lane_idx);
+        let stream = id.0.to_string();
+        let track = format!("enclave:{}", caller.1);
+        let doorbell: Option<Event> = (doorbell_cost > SimNs::ZERO)
+            .then(|| Work::charge_detail(TimeCategory::Ring, "doorbell", doorbell_cost).into());
+        let enqueued = [
+            Work::charge_detail(TimeCategory::Ring, "enqueue", enqueue_cost)
+                .span(
+                    &track,
+                    format!("enqueue:{name}"),
+                    "ring",
+                    now - (enqueue_cost + doorbell_cost)..now,
+                )
+                .into(),
+            Event::Enqueued(&station, now),
+            Event::Gauge("srpc.ring_occupancy", &[("stream", &stream)], occupancy),
+        ];
+        self.spm
+            .recorder()
+            .record(enqueued.into_iter().chain(doorbell));
         Ok(())
     }
 
@@ -1520,7 +1526,7 @@ impl CronusSystem {
             .streams
             .get(&id)
             .and_then(|s| s.pending.front().map(|p| p.req));
-        let prev = self.spm.recorder().and_then(|r| r.current_req());
+        let prev = self.spm.recorder().current_req();
         self.set_current_req(req);
         // Executor-side costs (dequeue, kernel, result write) are metered
         // against the caller principal under the callee's executor class.
@@ -1718,46 +1724,20 @@ impl CronusSystem {
         let callee_asid = s.callee.0;
         let occupancy = s.backlog() as i64;
         self.dispatcher.note_complete(callee_asid);
-        if let Some(rec) = self.spm.recorder() {
-            let stream_lbl = id.0.to_string();
-            rec.observe(
-                "srpc.enqueue_to_dispatch",
-                &[("stream", &stream_lbl)],
-                started - enq_t,
-            );
-            rec.gauge_set("srpc.ring_occupancy", &[("stream", &stream_lbl)], occupancy);
-            rec.charge_detail(TimeCategory::Ring, "dequeue", dequeue_cost);
-            rec.charge_detail(TimeCategory::Kernel, &request.name, exec_time);
-            let track = rec.track(&format!("stream:{}", id.0));
-            // Time between enqueue and the worker picking the request up is
-            // executor *backlog* (the device was busy with earlier work),
-            // not a protocol queue bottleneck: cover it with its own span so
-            // the causal report attributes it as "backlog" instead of
-            // falling through to the coarse "queue" gap category.
-            if started > enq_t {
-                rec.complete_span(track, "await-executor", "backlog", enq_t, started);
-            }
-            let call = rec.begin_span(track, request.name.clone(), "srpc", started);
-            rec.complete_span(track, "exec", "kernel", started + dequeue_cost, finished);
-            rec.end_span(track, call, finished);
-            rec.observe(
-                "srpc.request_latency",
-                &[("stream", &stream_lbl)],
-                finished - enq_t,
-            );
-            rec.queue_dequeue(
-                &lane_station(id, lane_idx),
-                finished,
-                started - enq_t,
-                dequeue_cost + exec_time,
-            );
-            // Meter the ring-slot occupancy (enqueue → finish), the wait
-            // behind the executor, and the worker occupancy interval the
-            // interference matrix attributes waits against.
-            rec.meter_count(CountResource::RingSlotNs, (finished - enq_t).as_nanos());
-            rec.meter_wait(worker_meter, enq_t, started);
-            rec.meter_occupy(worker_meter, started, finished);
-        }
+        let station = lane_station(id, lane_idx);
+        let stream = id.0.to_string();
+        let track = format!("stream:{}", id.0);
+        self.spm.recorder().record([
+            Served::at(&station, enq_t, started, finished)
+                .on_stream(id.0, worker_meter)
+                .into(),
+            Event::Gauge("srpc.ring_occupancy", &[("stream", &stream)], occupancy),
+            Work::charge_detail(TimeCategory::Ring, "dequeue", dequeue_cost).into(),
+            Work::charge_detail(TimeCategory::Kernel, &request.name, exec_time)
+                .span(&track, request.name.as_str(), "srpc", started..finished)
+                .nest("exec", "kernel", started + dequeue_cost..finished)
+                .into(),
+        ]);
         Ok(Some(Drained {
             lane: lane_idx,
             finished,
@@ -1861,9 +1841,11 @@ impl CronusSystem {
             if backoff > SimNs::ZERO {
                 let caller_eid = self.stream_ref(id)?.caller.1;
                 self.clock_mut(caller_eid).advance(backoff);
-                if let Some(rec) = self.spm.recorder() {
-                    rec.charge_detail(TimeCategory::Ring, "retry_backoff", backoff);
-                }
+                self.spm.recorder().record([Work::charge_detail(
+                    TimeCategory::Ring,
+                    "retry_backoff",
+                    backoff,
+                )]);
             }
             let attempt_req = match (attempt, req) {
                 (0, Some(r)) => r,
@@ -1872,9 +1854,11 @@ impl CronusSystem {
             match self.call_sync_attempt(id, name, payload, attempt_req, deadline) {
                 Ok(out) => return Ok(out),
                 Err(e) if retryable(&e) && attempt + 1 < attempts => {
-                    if let Some(rec) = self.spm.recorder() {
-                        rec.counter_add("srpc.retries", &[("mcall", name)], 1);
-                    }
+                    self.spm.recorder().record([Event::Count(
+                        "srpc.retries",
+                        &[("mcall", name)],
+                        1,
+                    )]);
                     last_err = Some(e);
                 }
                 Err(e) => return Err(e),
@@ -1946,26 +1930,27 @@ impl CronusSystem {
         self.spm
             .machine_mut()
             .record(EventKind::RpcSync { stream: id.0 });
-        if let Some(rec) = self.spm.recorder() {
-            rec.charge_detail(TimeCategory::Ring, "sync_wakeup", wakeup);
-            let track = rec.track(&format!("enclave:{}", caller.1));
-            rec.complete_span(
-                track,
-                format!("complete:{name}"),
-                "ring",
-                woke - wakeup,
-                woke,
-            );
-        }
+        let track = format!("enclave:{}", caller.1);
+        self.spm.recorder().record([Work::charge_detail(
+            TimeCategory::Ring,
+            "sync_wakeup",
+            wakeup,
+        )
+        .span(
+            &track,
+            format!("complete:{name}"),
+            "ring",
+            woke - wakeup..woke,
+        )]);
 
         // Deadline enforcement on the virtual clock: the per-call override
         // wins over the stream default.
         if let Some(deadline) = deadline_override.or(stream_deadline) {
             let elapsed = woke.saturating_sub(started);
             if elapsed > deadline {
-                if let Some(rec) = self.spm.recorder() {
-                    rec.counter_add("srpc.timeouts", &[("mcall", name)], 1);
-                }
+                self.spm
+                    .recorder()
+                    .record([Event::Count("srpc.timeouts", &[("mcall", name)], 1)]);
                 return Err(SrpcError::Timeout {
                     mecall: name.to_string(),
                     deadline,
@@ -2050,9 +2035,9 @@ impl CronusSystem {
             let shared_rid = u64::from_le_bytes(rid_buf);
             let shared_sid = u64::from_le_bytes(sid_buf);
             if shared_rid != shared_sid || shared_rid != cached_rid || shared_sid != cached_sid {
-                if let Some(rec) = self.spm.recorder() {
-                    rec.counter_add("srpc.stream_check_failures", &[], 1);
-                }
+                self.spm
+                    .recorder()
+                    .record([Event::Count("srpc.stream_check_failures", &[], 1)]);
                 return Err(SrpcError::StreamCheckFailed {
                     stream: id,
                     rid: shared_rid,
@@ -2069,9 +2054,11 @@ impl CronusSystem {
         self.spm
             .machine_mut()
             .record(EventKind::RpcSync { stream: id.0 });
-        if let Some(rec) = self.spm.recorder() {
-            rec.charge_detail(TimeCategory::Ring, "sync_wakeup", wakeup);
-        }
+        self.spm.recorder().record([Work::charge_detail(
+            TimeCategory::Ring,
+            "sync_wakeup",
+            wakeup,
+        )]);
         let s = self.streams.get_mut(&id).expect("checked");
         s.stats.sync_points += 1;
         Ok(())
@@ -2185,21 +2172,18 @@ impl CronusSystem {
         }
         let new = self.open_stream_config(caller, callee, cfg)?;
         let at = self.ledger_now();
-        if let Some(rec) = self.spm.recorder() {
-            rec.counter_add("srpc.streams_reopened", &[], 1);
-            rec.with(|r| r.spans.instant("stream-reopened", at));
-            // The old rings are abandoned along with any requests still
-            // queued on them (a faulted drain can leave one behind without
-            // going through quarantine). Flush every lane's station so depth
-            // returns to 0 and the Little check knows the residuals were
-            // discarded.
-            let dropped: u64 = (0..old_lanes)
-                .map(|lane| rec.queue_flush(&lane_station(old, lane), at))
-                .sum();
-            if dropped > 0 {
-                rec.counter_add("srpc.requests_flushed", &[], dropped);
-            }
-        }
+        // The old rings are abandoned along with any requests still queued
+        // on them (a faulted drain can leave one behind without going
+        // through quarantine). Flush every lane's station so depth returns
+        // to 0 and the Little check knows the residuals were discarded.
+        let stations = lane_stations(old, old_lanes);
+        let reopened = [
+            Event::Count("srpc.streams_reopened", &[], 1),
+            Event::Instant("stream-reopened", at),
+        ];
+        self.spm
+            .recorder()
+            .record(reopened.into_iter().chain(lane_flushes(&stations, at)));
         self.spm.ledger().append(
             caller.asid.as_u32(),
             at,
@@ -2293,19 +2277,17 @@ impl CronusSystem {
         self.spm
             .machine_mut()
             .record(EventKind::Marker("fault-injected"));
-        if let Some(rec) = self.spm.recorder() {
-            rec.counter_add(
+        // Span-stream witness on the recorder timebase (the machine marker
+        // above carries the machine-event clock instead).
+        let marker = format!("fault-injected:{}", armed.action.name());
+        self.spm.recorder().record([
+            Event::Count(
                 "chaos.faults_fired",
                 &[("phase", phase.name()), ("action", armed.action.name())],
                 1,
-            );
-            // Span-stream witness on the recorder timebase (the machine
-            // marker above carries the machine-event clock instead).
-            rec.with(|r| {
-                r.spans
-                    .instant(format!("fault-injected:{}", armed.action.name()), at)
-            });
-        }
+            ),
+            Event::Instant(&marker, at),
+        ]);
         // Injections belong to no partition; they go on the monitor chain.
         self.spm.ledger().append(
             crate::MONITOR_CHAIN,
@@ -2437,6 +2419,18 @@ impl CronusSystem {
 /// Queue-station name for one ring lane: `srpc.ring:<stream>.<lane>`.
 fn lane_station(id: StreamId, lane: usize) -> String {
     format!("srpc.ring:{}.{}", id.0, lane)
+}
+
+/// Every lane station of a stream with `lanes` lanes.
+fn lane_stations(id: StreamId, lanes: usize) -> Vec<String> {
+    (0..lanes).map(|lane| lane_station(id, lane)).collect()
+}
+
+/// Teardown flushes of `stations`, tallying discarded requests.
+fn lane_flushes(stations: &[String], at: SimNs) -> impl Iterator<Item = Event<'_>> {
+    stations
+        .iter()
+        .map(move |station| Event::Flushed(station, at, Some("srpc.requests_flushed")))
 }
 
 /// What one `drain_one` step executed: the lane whose slot it freed and the
@@ -2661,6 +2655,62 @@ mod tests {
             sys.app_ecall(other_app, cpu, "process", b"x").unwrap_err(),
             SystemError::NotOwner
         );
+    }
+
+    #[test]
+    fn world_switch_time_matches_recorded_world_switches() {
+        let mut sys = CronusSystem::boot(config());
+        let app = sys.create_app();
+        let (_, _, stream) = setup_pair(&mut sys);
+        let cpu = sys
+            .create_enclave(Actor::App(app), cpu_manifest(), &BTreeMap::new())
+            .unwrap();
+        sys.register_handler(cpu, "process", echo_handler(SimNs::from_micros(5)));
+        for _ in 0..3 {
+            sys.app_ecall(app, cpu, "process", b"x").unwrap();
+        }
+        sys.call(stream, "launch").payload(b"k").sync().unwrap();
+        let switches = sys.spm().machine().log().world_switches() as u64;
+        // Three enclave creations and three app ecalls, two switches each.
+        assert_eq!(switches, 12);
+        let per_switch = sys.spm().machine().cost().world_switch;
+        let charged = sys
+            .recorder()
+            .with(|r| r.profiler.busy_in(TimeCategory::WorldSwitch));
+        assert_eq!(per_switch * switches, charged);
+    }
+
+    #[test]
+    fn exported_snapshot_carries_end_of_run_trace_health_gauges() {
+        let mut sys = CronusSystem::boot(config());
+        let (_, _, stream) = setup_pair(&mut sys);
+        let rec = sys.recorder();
+        sys.call(stream, "launch").payload(b"k").sync().unwrap();
+        let log = sys.spm().machine().log();
+        let expected = [
+            ("eventlog.dropped", log.dropped()),
+            ("eventlog.total_recorded", log.total_recorded()),
+            ("ledger.records", sys.spm().ledger().records_total()),
+            ("ledger.evicted", sys.spm().ledger().evicted_total()),
+        ];
+        assert!(expected[1].1 > 0 && expected[2].1 > 0);
+        // Handing out the recorder does not write; the run's end does.
+        let empty = cronus_obs::LabelSet::empty();
+        assert_eq!(rec.with(|r| r.metrics.gauge("ledger.records", &empty)), 0);
+        drop(sys);
+        let snapshot = cronus_obs::parse(&rec.metrics_snapshot_json("unit")).unwrap();
+        let gauges = snapshot
+            .get("gauges")
+            .and_then(cronus_obs::Json::as_arr)
+            .expect("gauges");
+        for (name, value) in expected {
+            let row = gauges
+                .iter()
+                .find(|g| g.get("name").and_then(cronus_obs::Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("{name} missing from {gauges:?}"));
+            let got = row.get("value").and_then(cronus_obs::Json::as_u64);
+            assert_eq!(got, Some(value), "{name}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cronus_obs::{FlightRecorder, QueueKind};
+use cronus_obs::{Event, FlightRecorder, QueueKind, Served, Work};
 use cronus_sim::addr::{PhysAddr, PhysRange};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{Fault, Machine, SimNs, StreamId, World};
@@ -63,7 +63,7 @@ impl From<Fault> for BusError {
 #[derive(Debug, Default)]
 pub struct PcieBus {
     slots: HashMap<DeviceId, PcieSlot>,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
 }
 
 impl PcieBus {
@@ -72,34 +72,35 @@ impl PcieBus {
         PcieBus::default()
     }
 
-    /// Installs a flight recorder: every DMA transfer then emits a span on
-    /// the `bus` track plus byte counters, and the transfer queue reports
-    /// to the queue observatory.
+    /// Replaces the bus's flight recorder (a standalone bus records into
+    /// its own): every DMA transfer emits a span on the `bus` track plus
+    /// byte counters, and the transfer queue reports to the queue
+    /// observatory.
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
         // One serial transfer engine; nothing waits in the simulated model,
         // so the station's utilization is the interesting USE signal.
-        rec.queue_declare("bus.dma", QueueKind::Dma, 1);
-        self.recorder = Some(rec);
+        rec.record([Event::Declare("bus.dma", QueueKind::Dma, 1)]);
+        self.recorder = rec;
     }
 
     /// Records one DMA transfer of `bytes` taking `t`.
     fn record_dma(&self, dir: &str, device: DeviceId, bytes: u64, t: SimNs) {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("bus.dma_bytes", &[("dir", dir)], bytes);
-            rec.counter_add("bus.dma_transfers", &[("dir", dir)], 1);
-            // Device-timebase span, not attributed to the ambient request:
-            // the sRPC layer covers the request's transfer time on the
+        let labels = &[("dir", dir)];
+        let station = "bus.dma";
+        let start = self.recorder.total_elapsed();
+        self.recorder.record([
+            Event::Count("bus.dma_bytes", labels, bytes),
+            Event::Count("bus.dma_transfers", labels, 1),
+            // Device-timebase span, detached from the ambient request: the
+            // sRPC layer covers the request's transfer time on the
             // stream/enclave tracks, and mixing the bus timebase into the
             // request window would surface as a phantom queue gap.
-            let track = rec.track("bus");
-            let start = rec.total_elapsed();
-            let req = rec.current_req();
-            rec.set_current_req(None);
-            rec.complete_span(track, format!("{dir}:{device}"), "dma", start, start + t);
-            rec.set_current_req(req);
-            rec.queue_enqueue("bus.dma", start);
-            rec.queue_dequeue("bus.dma", start + t, SimNs::ZERO, t);
-        }
+            Work::spanned("bus", format!("{dir}:{device}"), "dma", start..start + t)
+                .detached()
+                .into(),
+            Event::Enqueued(station, start),
+            Served::at(station, start, start, start + t).into(),
+        ]);
     }
 
     /// Registers a device slot.

@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use cronus_crypto::{KeyPair, PublicKey, Signature};
-use cronus_obs::{FlightRecorder, QueueKind};
+use cronus_obs::{Event, FlightRecorder, QueueKind, Served, Work};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{CostModel, SimNs, StreamId};
 
@@ -26,6 +26,52 @@ use crate::{device_rot_keypair, DeviceKind, SimDevice};
 
 /// Completion-IRQ queue slots a driver ring would provide.
 pub const IRQ_QUEUE_SLOTS: u64 = 64;
+
+/// A device's completion-IRQ queue as the queue observatory sees it: each
+/// interrupt is raised when its work finishes and waits until the driver's
+/// ISR services it.
+#[derive(Debug)]
+pub(crate) struct CompletionIrqs {
+    station: String,
+    raised: VecDeque<SimNs>,
+}
+
+impl CompletionIrqs {
+    /// The `<kind>:<id>.completion` station.
+    pub(crate) fn new(kind: &str, id: DeviceId) -> Self {
+        CompletionIrqs {
+            station: format!("{kind}:{}.completion", id.as_u32()),
+            raised: VecDeque::new(),
+        }
+    }
+
+    pub(crate) fn declare(&self) -> Event<'_> {
+        Event::Declare(&self.station, QueueKind::Completion, IRQ_QUEUE_SLOTS)
+    }
+
+    /// Raises one interrupt at `at`.
+    pub(crate) fn raise(&mut self, at: SimNs) -> Event<'_> {
+        self.raised.push_back(at);
+        Event::Enqueued(&self.station, at)
+    }
+
+    /// The ISR: services every raised interrupt at `now`.
+    pub(crate) fn service(&mut self, rec: &FlightRecorder) {
+        let now = rec.total_elapsed();
+        let station = &self.station;
+        rec.record(self.raised.drain(..).map(|raised| {
+            let at = now.max(raised);
+            Served::at(station, raised, at, at)
+        }));
+    }
+
+    /// Reset discards in-flight completions: the flush shows the drop to
+    /// the observatory rather than a stuck depth.
+    pub(crate) fn flush(&mut self, rec: &FlightRecorder) {
+        self.raised.clear();
+        rec.record([Event::Flushed(&self.station, rec.total_elapsed(), None)]);
+    }
+}
 
 /// Handle to a GPU execution context (one spatially sharing tenant).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -246,8 +292,8 @@ pub struct GpuDevice {
     next_buf: u64,
     total_launches: u64,
     pending_irqs: u32,
-    irq_raised_at: VecDeque<SimNs>,
-    recorder: Option<FlightRecorder>,
+    irqs: CompletionIrqs,
+    recorder: FlightRecorder,
 }
 
 impl fmt::Debug for GpuDevice {
@@ -277,21 +323,18 @@ impl GpuDevice {
             next_buf: 1,
             total_launches: 0,
             pending_irqs: 0,
-            irq_raised_at: VecDeque::new(),
-            recorder: None,
+            irqs: CompletionIrqs::new("gpu", id),
+            recorder: FlightRecorder::new(),
         }
     }
 
-    /// Installs a flight recorder: kernel launches gain spans on the
-    /// `gpu:<id>` track plus launch/latency/occupancy metrics, and the
-    /// completion-IRQ queue reports to the queue observatory.
+    /// Replaces the device's flight recorder (a standalone device records
+    /// into its own): kernel launches draw spans on the `gpu:<id>` track
+    /// plus launch/latency/occupancy metrics, and the completion-IRQ queue
+    /// reports to the queue observatory.
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        rec.queue_declare(
-            &format!("gpu:{}.completion", self.id.as_u32()),
-            QueueKind::Completion,
-            IRQ_QUEUE_SLOTS,
-        );
-        self.recorder = Some(rec);
+        rec.record([self.irqs.declare()]);
+        self.recorder = rec;
     }
 
     /// Creates a GTX 2080-class GPU (8 GiB, 46 SMs) scaled to the cost
@@ -408,9 +451,11 @@ impl GpuDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<(), GpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("gpu.dma_bytes", &[("dir", "h2d")], data.len() as u64);
-        }
+        self.recorder.record([Event::Count(
+            "gpu.dma_bytes",
+            &[("dir", "h2d")],
+            data.len() as u64,
+        )]);
         let state = self.ctx_mut(ctx)?;
         ContextMem {
             buffers: &mut state.buffers,
@@ -430,9 +475,11 @@ impl GpuDevice {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), GpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("gpu.dma_bytes", &[("dir", "d2h")], out.len() as u64);
-        }
+        self.recorder.record([Event::Count(
+            "gpu.dma_bytes",
+            &[("dir", "d2h")],
+            out.len() as u64,
+        )]);
         let state = self.ctx_mut(ctx)?;
         ContextMem {
             buffers: &mut state.buffers,
@@ -503,35 +550,33 @@ impl GpuDevice {
         // Completion interrupt for the driver to service.
         self.pending_irqs += 1;
         let t = Self::exec_time(cost, sm_count, active, desc);
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("gpu.kernel_launches", &[("kernel", kernel)], 1);
-            rec.observe("gpu.kernel_ns", &[("kernel", kernel)], t);
-            rec.gauge_set("gpu.active_contexts", &[], active as i64);
-            rec.gauge_set("gpu.mem_used", &[], self.used as i64);
-            // Device-wide SM occupancy under the MPS split.
-            let sms_avail = (sm_count as f64 / active as f64).max(1.0);
-            let sms_used = (desc.sm_demand.max(1) as f64).min(sms_avail);
-            let pct = (sms_used * active as f64 / sm_count as f64 * 100.0).min(100.0);
-            rec.gauge_set("gpu.sm_occupancy_pct", &[], pct as i64);
+        // Device-wide SM occupancy under the MPS split.
+        let sms_avail = (sm_count as f64 / active as f64).max(1.0);
+        let sms_used = (desc.sm_demand.max(1) as f64).min(sms_avail);
+        let pct = (sms_used * active as f64 / sm_count as f64 * 100.0).min(100.0);
+        let labels = &[("kernel", kernel)];
+        let track = format!("gpu:{}", self.id.as_u32());
+        let start = self.recorder.total_elapsed();
+        self.recorder.record([
+            Event::Count("gpu.kernel_launches", labels, 1),
+            Event::Sample("gpu.kernel_ns", labels, t),
+            Event::Gauge("gpu.active_contexts", &[], active as i64),
+            Event::Gauge("gpu.mem_used", &[], self.used as i64),
+            Event::Gauge("gpu.sm_occupancy_pct", &[], pct as i64),
             // Span on the device track (time profiling stays in the sRPC
             // layer, which charges the handler's execution time). The span
-            // is deliberately not attributed to the ambient request: it uses
-            // the device's own timebase, and the sRPC layer already covers
-            // the request's kernel phase on the stream track — attaching
-            // this one too would stretch the request window with a
-            // clock-skew gap the causal report would misread as queueing.
-            let track = rec.track(&format!("gpu:{}", self.id.as_u32()));
-            let start = rec.total_elapsed();
-            let req = rec.current_req();
-            rec.set_current_req(None);
-            rec.complete_span(track, kernel.to_string(), "kernel", start, start + t);
-            rec.set_current_req(req);
+            // is deliberately detached from the ambient request: it uses the
+            // device's own timebase, and the sRPC layer already covers the
+            // request's kernel phase on the stream track — attaching this
+            // one too would stretch the request window with a clock-skew
+            // gap the causal report would misread as queueing.
+            Work::spanned(&track, kernel, "kernel", start..start + t)
+                .detached()
+                .into(),
             // The completion IRQ is raised when the kernel finishes; it sits
             // queued until the driver's ISR (take_irqs) services it.
-            let raised = start + t;
-            self.irq_raised_at.push_back(raised);
-            rec.queue_enqueue(&format!("gpu:{}.completion", self.id.as_u32()), raised);
-        }
+            self.irqs.raise(start + t),
+        ]);
         Ok(t)
     }
 
@@ -575,20 +620,7 @@ impl GpuDevice {
     /// interrupt service routine.
     pub fn take_irqs(&mut self) -> u32 {
         let n = std::mem::take(&mut self.pending_irqs);
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            let qname = format!("gpu:{}.completion", self.id.as_u32());
-            while let Some(raised) = self.irq_raised_at.pop_front() {
-                rec.queue_dequeue(
-                    &qname,
-                    now.max(raised),
-                    now.saturating_sub(raised),
-                    SimNs::ZERO,
-                );
-            }
-        } else {
-            self.irq_raised_at.clear();
-        }
+        self.irqs.service(&self.recorder);
         n
     }
 
@@ -647,13 +679,7 @@ impl SimDevice for GpuDevice {
         self.used = 0;
         self.total_launches = 0;
         self.pending_irqs = 0;
-        // Reset discards in-flight completions: flush the queue station so
-        // the observatory sees the drop rather than a stuck depth.
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            rec.queue_flush(&format!("gpu:{}.completion", self.id.as_u32()), now);
-        }
-        self.irq_raised_at.clear();
+        self.irqs.flush(&self.recorder);
         self.next_ctx = 1;
         self.next_buf = 1;
     }

@@ -7,14 +7,15 @@
 //! set (LOAD / GEMM / ALU / STORE) over int8 tensors with int32 accumulation,
 //! with per-context buffer isolation and a MAC-throughput cost model.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 
 use cronus_crypto::{KeyPair, PublicKey, Signature};
-use cronus_obs::{FlightRecorder, QueueKind};
+use cronus_obs::{Event, FlightRecorder, Work};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{CostModel, SimNs, StreamId};
 
+use crate::gpu::CompletionIrqs;
 use crate::{device_rot_keypair, DeviceKind, SimDevice};
 
 /// Handle to an NPU execution context.
@@ -198,8 +199,8 @@ pub struct NpuDevice {
     next_ctx: u32,
     next_buf: u64,
     pending_irqs: u32,
-    irq_raised_at: VecDeque<SimNs>,
-    recorder: Option<FlightRecorder>,
+    irqs: CompletionIrqs,
+    recorder: FlightRecorder,
 }
 
 impl fmt::Debug for NpuDevice {
@@ -224,21 +225,18 @@ impl NpuDevice {
             next_ctx: 1,
             next_buf: 1,
             pending_irqs: 0,
-            irq_raised_at: VecDeque::new(),
-            recorder: None,
+            irqs: CompletionIrqs::new("npu", id),
+            recorder: FlightRecorder::new(),
         }
     }
 
-    /// Installs a flight recorder: program runs gain spans on the `npu:<id>`
-    /// track plus run-count/latency metrics, and the completion-IRQ queue
-    /// reports to the queue observatory.
+    /// Replaces the device's flight recorder (a standalone device records
+    /// into its own): program runs draw spans on the `npu:<id>` track plus
+    /// run-count/latency metrics, and the completion-IRQ queue reports to
+    /// the queue observatory.
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        rec.queue_declare(
-            &format!("npu:{}.completion", self.id.as_u32()),
-            QueueKind::Completion,
-            crate::gpu::IRQ_QUEUE_SLOTS,
-        );
-        self.recorder = Some(rec);
+        rec.record([self.irqs.declare()]);
+        self.recorder = rec;
     }
 
     /// A VTA-class device (256 MiB).
@@ -329,9 +327,11 @@ impl NpuDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<(), NpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("npu.dma_bytes", &[("dir", "h2d")], data.len() as u64);
-        }
+        self.recorder.record([Event::Count(
+            "npu.dma_bytes",
+            &[("dir", "h2d")],
+            data.len() as u64,
+        )]);
         let state = self.ctx_mut(ctx)?;
         let dst = state
             .buffers
@@ -361,9 +361,11 @@ impl NpuDevice {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), NpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("npu.dma_bytes", &[("dir", "d2h")], out.len() as u64);
-        }
+        self.recorder.record([Event::Count(
+            "npu.dma_bytes",
+            &[("dir", "d2h")],
+            out.len() as u64,
+        )]);
         let state = self.ctx_mut(ctx)?;
         let src = state
             .buffers
@@ -401,31 +403,22 @@ impl NpuDevice {
         }
         state.programs_run += 1;
         self.pending_irqs += 1;
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("npu.programs_run", &[], 1);
-            rec.counter_add("npu.insns_run", &[], program.insns.len() as u64);
-            rec.observe("npu.program_ns", &[], total);
-            // Device-timebase span, not attributed to the ambient request
-            // (the sRPC layer covers the request's kernel phase on the
-            // stream track; see the GPU device for the rationale).
-            let track = rec.track(&format!("npu:{}", self.id.as_u32()));
-            let start = rec.total_elapsed();
-            let req = rec.current_req();
-            rec.set_current_req(None);
-            rec.complete_span(
-                track,
-                "vta-program".to_string(),
-                "kernel",
-                start,
-                start + total,
-            );
-            rec.set_current_req(req);
+        let track = format!("npu:{}", self.id.as_u32());
+        let start = self.recorder.total_elapsed();
+        self.recorder.record([
+            Event::Count("npu.programs_run", &[], 1),
+            Event::Count("npu.insns_run", &[], program.insns.len() as u64),
+            Event::Sample("npu.program_ns", &[], total),
+            // Device-timebase span, detached from the ambient request (the
+            // sRPC layer covers the request's kernel phase on the stream
+            // track; see the GPU device for the rationale).
+            Work::spanned(&track, "vta-program", "kernel", start..start + total)
+                .detached()
+                .into(),
             // Completion IRQ raised when the program finishes; queued until
             // the driver's ISR services it.
-            let raised = start + total;
-            self.irq_raised_at.push_back(raised);
-            rec.queue_enqueue(&format!("npu:{}.completion", self.id.as_u32()), raised);
-        }
+            self.irqs.raise(start + total),
+        ]);
         Ok(total)
     }
 
@@ -585,20 +578,7 @@ impl NpuDevice {
     /// Takes (and clears) the pending completion interrupts.
     pub fn take_irqs(&mut self) -> u32 {
         let n = std::mem::take(&mut self.pending_irqs);
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            let qname = format!("npu:{}.completion", self.id.as_u32());
-            while let Some(raised) = self.irq_raised_at.pop_front() {
-                rec.queue_dequeue(
-                    &qname,
-                    now.max(raised),
-                    now.saturating_sub(raised),
-                    SimNs::ZERO,
-                );
-            }
-        } else {
-            self.irq_raised_at.clear();
-        }
+        self.irqs.service(&self.recorder);
         n
     }
 
@@ -653,13 +633,7 @@ impl SimDevice for NpuDevice {
         self.contexts.clear();
         self.used = 0;
         self.pending_irqs = 0;
-        // Reset discards in-flight completions: flush the queue station so
-        // the observatory sees the drop rather than a stuck depth.
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            rec.queue_flush(&format!("npu:{}.completion", self.id.as_u32()), now);
-        }
-        self.irq_raised_at.clear();
+        self.irqs.flush(&self.recorder);
         self.next_ctx = 1;
         self.next_buf = 1;
     }

@@ -421,6 +421,7 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::ledger::Ledger;
+    use cronus_obs::{Event, Work};
 
     fn ns(v: u64) -> SimNs {
         SimNs::from_nanos(v)
@@ -468,12 +469,13 @@ mod tests {
 
     fn failover_recorder() -> FlightRecorder {
         let rec = FlightRecorder::new();
-        let t = rec.track("recovery");
-        rec.with(|r| r.spans.instant("fault-injected:kill-callee", ns(10)));
-        rec.with(|r| r.spans.instant("failure-detected:proceed-trap", ns(20)));
-        rec.complete_span(t, "trap p1", "recovery", ns(20), ns(25));
-        rec.complete_span(t, "clear p2", "recovery", ns(30), ns(35));
-        rec.with(|r| r.spans.instant("stream-reopened", ns(40)));
+        rec.record([
+            Event::Instant("fault-injected:kill-callee", ns(10)),
+            Event::Instant("failure-detected:proceed-trap", ns(20)),
+            Work::spanned("recovery", "trap p1", "recovery", ns(20)..ns(25)).into(),
+            Work::spanned("recovery", "clear p2", "recovery", ns(30)..ns(35)).into(),
+            Event::Instant("stream-reopened", ns(40)),
+        ]);
         rec
     }
 
@@ -490,7 +492,7 @@ mod tests {
     #[test]
     fn missing_span_evidence_is_flagged() {
         let rec = FlightRecorder::new();
-        rec.with(|r| r.spans.instant("fault-injected:kill-callee", ns(10)));
+        rec.record([Event::Instant("fault-injected:kill-callee", ns(10))]);
         let tl = reconstruct(&failover_ledger().export(), &[], &rec);
         assert_eq!(
             tl.check_failover(),
@@ -522,9 +524,10 @@ mod tests {
             },
         );
         let rec = FlightRecorder::new();
-        let t = rec.track("recovery");
-        rec.complete_span(t, "clear p2", "recovery", ns(5), ns(6));
-        rec.with(|r| r.spans.instant("fault-injected:kill-callee", ns(10)));
+        rec.record([
+            Work::spanned("recovery", "clear p2", "recovery", ns(5)..ns(6)).into(),
+            Event::Instant("fault-injected:kill-callee", ns(10)),
+        ]);
         let tl = reconstruct(&ledger.export(), &[], &rec);
         assert_eq!(
             tl.check_failover(),

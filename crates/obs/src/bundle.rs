@@ -546,6 +546,7 @@ impl TelemetryBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, Work};
     use cronus_sim::SimNs;
 
     fn sample_bundle() -> TelemetryBundle {
@@ -643,17 +644,18 @@ mod tests {
         let rec = FlightRecorder::default();
         let req = rec.alloc_req();
         rec.set_current_req(Some(req));
-        let t = rec.track("exec");
-        rec.complete_span(
-            t,
+        rec.record([Work::spanned(
+            "exec",
             "gpu.launch",
             "srpc",
-            SimNs::from_nanos(0),
-            SimNs::from_nanos(1_000),
-        );
+            SimNs::from_nanos(0)..SimNs::from_nanos(1_000),
+        )]);
         rec.set_current_req(None);
-        rec.queue_declare("srpc.ring:1", crate::queue::QueueKind::Ring, 64);
-        rec.queue_enqueue("srpc.ring:1", SimNs::from_nanos(0));
+        let station = "srpc.ring:1";
+        rec.record([
+            Event::Declare(station, crate::queue::QueueKind::Ring, 64),
+            Event::Enqueued(station, SimNs::from_nanos(0)),
+        ]);
         rec.with(|r| {
             r.queues.dequeue_req(
                 "srpc.ring:1",

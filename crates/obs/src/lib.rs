@@ -10,8 +10,12 @@
 //! - [`profile`]: charges every simulated nanosecond to a category
 //!   (world-switch, context-switch, crypto, memcpy, ring, kernel, recovery,
 //!   mgmt, idle) and emits folded-stack flamegraph lines.
-//! - [`recorder`]: the [`FlightRecorder`] handle tying the three together,
-//!   plus the [`cronus_sim::EventSink`] bridge that keeps metric counters in
+//! - [`event`]: the write vocabulary — one [`Event`] per fact an
+//!   instrumentation site reports (charged work, a served request, a queue
+//!   edge, a counter/gauge/sample, a machine event).
+//! - [`recorder`]: the [`FlightRecorder`] handle and its one write path,
+//!   [`FlightRecorder::record`], which folds events into every store, plus
+//!   the [`cronus_sim::EventSink`] bridge that keeps metric counters in
 //!   exact agreement with the simulator's event log.
 //! - [`causal`]: per-request timelines reconstructed from [`span::ReqId`]-
 //!   stamped spans, critical-path attribution (which category bounds
@@ -42,12 +46,14 @@
 //!   exports and the bench baselines use.
 //!
 //! The crate sits between `cronus-sim` and the policy layers: `spm`, `core`,
-//! `devices` and `runtime` take an optional recorder and instrument their
-//! hot paths; the bench harness dumps snapshots next to its table output.
+//! `devices` and `runtime` each hold a recorder and instrument their hot
+//! paths with one `record` call per site; the bench harness dumps snapshots
+//! next to its table output.
 
 pub mod bundle;
 pub mod causal;
 pub mod diff;
+pub mod event;
 pub mod fairness;
 pub mod json;
 pub mod meter;
@@ -67,6 +73,7 @@ pub use diff::{
     diff, diff_documents, Attribution, AttributionKind, BundleDiff, DiffConfig, DiffError,
     ExemplarDiff, FrameDelta, FrameStatus, HeadlineDelta,
 };
+pub use event::{Event, Labels, Served, Work};
 pub use fairness::{
     jain_index, DominantShare, FairnessReport, InterferenceCell, InterferenceExemplar,
     InterferenceMatrix,
@@ -82,6 +89,6 @@ pub use queue::{
     LittleCheck, QueueKind, QueueObservatory, QueueReport, QueueSample, QueueStation, QueueUse,
     WaitExemplar, MAX_EXEMPLARS,
 };
-pub use recorder::{charge_opt, FlightRecorder, RecorderInner, RecorderSink};
+pub use recorder::{FlightRecorder, RecorderInner, RecorderSink};
 pub use slo::{SloEval, SloObjective, SloPolicy, SloReport};
 pub use span::{ReqId, Span, SpanId, SpanTracer, TrackId};

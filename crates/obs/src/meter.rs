@@ -10,8 +10,9 @@
 //! and request *wait* windows per worker, the raw material for the
 //! noisy-neighbor interference matrix in [`crate::fairness`].
 //!
-//! The meter is fed from inside [`crate::FlightRecorder::charge`] /
-//! `charge_detail`, so its per-category totals agree with the
+//! The meter is fed from the same fold of a [`crate::Work`] event as the
+//! profiler (see [`crate::FlightRecorder::record`]), so its per-category
+//! totals agree with the
 //! [`crate::TimeProfiler`] *by construction* — and the conservation
 //! self-test ([`ResourceMeter::check_conservation`]) re-verifies the exact
 //! equality anyway, because a disagreement means a metering bug (a bypass
@@ -337,8 +338,8 @@ impl ResourceMeter {
         self.scope
     }
 
-    /// Charges time to the ambient scope. Called from the recorder's
-    /// `charge`/`charge_detail`, in lockstep with the profiler.
+    /// Charges time to the ambient scope. Called from the recorder's fold
+    /// of a `Work` event, in lockstep with the profiler.
     pub fn charge_time(&mut self, cat: TimeCategory, d: SimNs) {
         debug_assert!(cat != TimeCategory::Idle, "idle is derived, not charged");
         let s = self.scope;

@@ -1,7 +1,12 @@
-//! The flight recorder: one shared handle bundling spans, metrics and the
-//! time profiler, plus the [`cronus_sim::EventSink`] bridge that keeps the
-//! metrics counters in exact agreement with the simulator's [`EventLog`]
-//! (both are driven by the same `Machine::record` call).
+//! The flight recorder: one shared handle over spans, metrics, the time
+//! profiler, the queue observatory and the resource meter.
+//!
+//! Instrumentation sites write through one entry point,
+//! [`FlightRecorder::record`]: each site hands over its [`Event`]s in one
+//! call, and one fold derives every store's view from them. The machine's
+//! event stream enters the same fold through [`RecorderSink`], which keeps
+//! the metrics counters in exact agreement with the simulator's
+//! [`EventLog`] (both are driven by the same `Machine::record` call).
 //!
 //! [`EventLog`]: cronus_sim::EventLog
 
@@ -10,14 +15,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use cronus_sim::{EventKind, EventSink, SimNs};
 
 use crate::causal::CausalReport;
+use crate::event::{Event, Served, Work, WorkSpan};
 use crate::json::Json;
-use crate::meter::{
-    ConservationRow, CountResource, MeterError, MeterScope, ResourceMeter, WorkerId,
-};
+use crate::meter::{ConservationRow, CountResource, MeterError, MeterScope, ResourceMeter};
 use crate::metrics::{labels, LabelSet, MetricsRegistry};
-use crate::profile::{TimeCategory, TimeProfiler};
-use crate::queue::{QueueKind, QueueObservatory, QueueReport};
-use crate::span::{ReqId, SpanId, SpanTracer, TrackId};
+use crate::profile::TimeProfiler;
+use crate::queue::{QueueObservatory, QueueReport};
+use crate::span::{ReqId, SpanTracer};
 
 /// Everything one run records.
 #[derive(Default, Debug)]
@@ -34,6 +38,158 @@ pub struct RecorderInner {
     pub meter: ResourceMeter,
     /// Last allocated request id (0 = none yet; ids start at 1).
     next_req: u64,
+}
+
+impl RecorderInner {
+    /// Folds one event into every store it implies.
+    fn fold(&mut self, event: Event<'_>) {
+        match event {
+            Event::Work(w) => self.work(w),
+            Event::Served(s) => self.served(s),
+            Event::Declare(station, kind, capacity) => self.queues.declare(station, kind, capacity),
+            Event::Enqueued(station, at) => self.queues.enqueue(station, at),
+            Event::Stalled(station, at) => self.queues.error(station, at),
+            Event::Flushed(station, at, tally) => {
+                let n = self.queues.flush(station, at);
+                if let (Some(name), true) = (tally, n > 0) {
+                    self.metrics.counter_add(name, LabelSet::empty(), n);
+                }
+            }
+            Event::Count(name, l, delta) => self.metrics.counter_add(name, labels(l), delta),
+            Event::Gauge(name, l, value) => self.metrics.gauge_set(name, labels(l), value),
+            Event::Sample(name, l, d) => self.metrics.observe(name, labels(l), d),
+            Event::Instant(name, at) => self.spans.instant(name, at),
+            Event::Machine(at, kind) => self.machine(at, kind),
+        }
+    }
+
+    /// Charge (profiler and meter in one step, so the meter's conservation
+    /// check is an exact equality), count resource, then the span.
+    fn work(&mut self, w: Work<'_>) {
+        let prev = w.scope.map(|s| self.meter.set_scope(s));
+        if let Some((cat, detail, d)) = w.charge {
+            match detail {
+                Some(detail) => self.profiler.charge_detail(cat, detail, d),
+                None => self.profiler.charge(cat, d),
+            }
+            self.meter.charge_time(cat, d);
+        }
+        if let Some((res, amount)) = w.count {
+            self.meter.add_count(res, amount);
+        }
+        if let Some(prev) = prev {
+            self.meter.set_scope(prev);
+        }
+        if let Some(span) = w.span {
+            self.span(span);
+        }
+    }
+
+    fn span(&mut self, s: WorkSpan<'_>) {
+        let track = self.spans.track(s.track);
+        let ambient = self.spans.current_req();
+        if s.detached {
+            self.spans.set_current_req(None);
+        }
+        let (start, end) = (s.at.start, s.at.end);
+        if let Some((name, cat, inner)) = s.inner {
+            self.profiler.observe_instant(start);
+            let outer = self.spans.begin(track, s.name, s.cat, start);
+            self.profiler.observe_instant(inner.end);
+            self.spans
+                .complete(track, name, cat, inner.start, inner.end);
+            self.profiler.observe_instant(end);
+            self.spans.end(track, outer, end);
+        } else {
+            self.profiler.observe_instant(end);
+            self.spans.complete(track, s.name, s.cat, start, end);
+        }
+        self.spans.set_current_req(ambient);
+    }
+
+    /// The dequeue edge with the wait/service split, attributed to the
+    /// ambient request; for sRPC requests also the latency histograms, the
+    /// backlog span, and the meter's ring-slot, wait and occupancy rows.
+    fn served(&mut self, s: Served<'_>) {
+        let wait = s.started.saturating_sub(s.enqueued);
+        let service = s.finished.saturating_sub(s.started);
+        let req = self.spans.current_req();
+        if let Some((stream, worker)) = s.srpc {
+            let lbl = labels(&[("stream", &stream.to_string())]);
+            self.metrics
+                .observe("srpc.enqueue_to_dispatch", lbl.clone(), wait);
+            // Time between enqueue and the worker picking the request up is
+            // executor *backlog* (the device was busy with earlier work),
+            // not a protocol queue bottleneck: its own span makes the causal
+            // report attribute it as "backlog" rather than a "queue" gap.
+            if wait > SimNs::ZERO {
+                let track = self.spans.track(&format!("stream:{stream}"));
+                self.profiler.observe_instant(s.started);
+                let (enq, started) = (s.enqueued, s.started);
+                self.spans
+                    .complete(track, "await-executor", "backlog", enq, started);
+            }
+            let sojourn = s.finished.saturating_sub(s.enqueued);
+            self.metrics.observe("srpc.request_latency", lbl, sojourn);
+            self.meter
+                .add_count(CountResource::RingSlotNs, sojourn.as_nanos());
+            self.meter.record_wait(worker, req, s.enqueued, s.started);
+            self.meter
+                .record_occupancy(worker, req, s.started, s.finished);
+        }
+        self.queues
+            .dequeue_req(s.station, s.finished, wait, service, req);
+    }
+
+    /// Counter names mirror [`EventKind`] variants one-to-one, so equality
+    /// with `EventLog` query helpers (`context_switches()`,
+    /// `world_switches()`, …) holds by construction.
+    fn machine(&mut self, at: SimNs, kind: &EventKind) {
+        self.profiler.observe_instant(at);
+        let none = LabelSet::empty;
+        let by = |key: &str, v: &dyn std::fmt::Display| labels(&[(key, &v.to_string())]);
+        let (name, lbls, delta) = match kind {
+            EventKind::WorldSwitch => {
+                self.meter.add_count(CountResource::WorldSwitches, 1);
+                ("world_switches", none(), 1)
+            }
+            EventKind::ContextSwitch { to, .. } => ("context_switches", by("to", to), 1),
+            EventKind::RpcEnqueue { stream } => ("srpc.enqueued", by("stream", stream), 1),
+            EventKind::RpcDispatch { stream } => ("srpc.dispatched", by("stream", stream), 1),
+            EventKind::RpcSync { stream } => ("srpc.syncs", by("stream", stream), 1),
+            EventKind::EncryptedRpc { bytes } => {
+                self.metrics
+                    .counter_add("encrypted_rpc.messages", none(), 1);
+                ("encrypted_rpc.bytes", none(), *bytes)
+            }
+            EventKind::Faulted(_) => ("faults", none(), 1),
+            EventKind::PartitionFailed { partition: p } => {
+                ("partition.failed", by("partition", p), 1)
+            }
+            EventKind::PartitionCleared { partition: p } => {
+                ("partition.cleared", by("partition", p), 1)
+            }
+            EventKind::PartitionRecovered { partition: p } => {
+                ("partition.recovered", by("partition", p), 1)
+            }
+            EventKind::MemoryShared { pages, .. } => {
+                self.meter
+                    .add_count(CountResource::Stage2Pages, *pages as u64);
+                ("memory.shared_pages", none(), *pages as u64)
+            }
+            EventKind::FailureSignal { partition: p } => ("failure.signals", by("partition", p), 1),
+            EventKind::DeviceIrq { count } => {
+                self.meter
+                    .add_count(CountResource::DeviceIrqs, *count as u64);
+                ("device.irqs", none(), *count as u64)
+            }
+            EventKind::Marker(label) => {
+                self.spans.instant(*label, at);
+                ("markers", none(), 1)
+            }
+        };
+        self.metrics.counter_add(name, lbls, delta);
+    }
 }
 
 /// A cheaply-cloneable handle to one run's observability state.
@@ -62,6 +218,16 @@ impl FlightRecorder {
         f(&mut self.lock())
     }
 
+    /// The one write path: folds a site's events (an array, or any
+    /// iterator of [`Event`]s, [`Work`] or [`Served`]), in order, under one
+    /// lock.
+    pub fn record<'e, E: Into<Event<'e>>>(&self, events: impl IntoIterator<Item = E>) {
+        let mut r = self.lock();
+        for event in events {
+            r.fold(event.into());
+        }
+    }
+
     // --- request ids ----------------------------------------------------
 
     /// Allocates the next request id (monotonic per system, starting at 1).
@@ -83,106 +249,13 @@ impl FlightRecorder {
         self.with(|r| r.spans.current_req())
     }
 
-    // --- span conveniences ---------------------------------------------
-
-    /// Returns (creating if needed) the track named `name`.
-    pub fn track(&self, name: &str) -> TrackId {
-        self.with(|r| r.spans.track(name))
-    }
-
-    /// Opens a span; see [`SpanTracer::begin`].
-    pub fn begin_span(
-        &self,
-        track: TrackId,
-        name: impl Into<String>,
-        cat: &'static str,
-        at: SimNs,
-    ) -> SpanId {
-        self.with(|r| {
-            r.profiler.observe_instant(at);
-            r.spans.begin(track, name, cat, at)
-        })
-    }
-
-    /// Closes a span; see [`SpanTracer::end`].
-    pub fn end_span(&self, track: TrackId, id: SpanId, at: SimNs) {
-        self.with(|r| {
-            r.profiler.observe_instant(at);
-            r.spans.end(track, id, at)
-        })
-    }
-
-    /// Records a closed interval span; see [`SpanTracer::complete`].
-    pub fn complete_span(
-        &self,
-        track: TrackId,
-        name: impl Into<String>,
-        cat: &'static str,
-        start: SimNs,
-        end: SimNs,
-    ) -> SpanId {
-        self.with(|r| {
-            r.profiler.observe_instant(end);
-            r.spans.complete(track, name, cat, start, end)
-        })
-    }
-
-    // --- metric conveniences -------------------------------------------
-
-    /// Adds to a counter.
-    pub fn counter_add(&self, name: &str, lbls: &[(&str, &str)], delta: u64) {
-        self.with(|r| r.metrics.counter_add(name, labels(lbls), delta));
-    }
-
-    /// Sets a gauge.
-    pub fn gauge_set(&self, name: &str, lbls: &[(&str, &str)], value: i64) {
-        self.with(|r| r.metrics.gauge_set(name, labels(lbls), value));
-    }
-
     /// Sums a counter across all label sets (used by the forensics
     /// verifier's ledger-vs-recorder completeness check).
     pub fn counter_total(&self, name: &str) -> u64 {
         self.with(|r| r.metrics.counter_total(name))
     }
 
-    /// Records a histogram observation.
-    pub fn observe(&self, name: &str, lbls: &[(&str, &str)], d: SimNs) {
-        self.with(|r| r.metrics.observe(name, labels(lbls), d));
-    }
-
-    // --- queue observatory conveniences --------------------------------
-
-    /// Declares a queue station (idempotent).
-    pub fn queue_declare(&self, name: &str, kind: QueueKind, capacity: u64) {
-        self.with(|r| r.queues.declare(name, kind, capacity));
-    }
-
-    /// Records an enqueue edge on `name` at virtual instant `at`.
-    pub fn queue_enqueue(&self, name: &str, at: SimNs) {
-        self.with(|r| r.queues.enqueue(name, at));
-    }
-
-    /// Records a dequeue edge on `name`: the item left at `at` after
-    /// waiting `wait` and being served for `service`. When an ambient
-    /// request is active its ReqId is attached as a wait exemplar, so the
-    /// p99 tail of each wait histogram stays attributable.
-    pub fn queue_dequeue(&self, name: &str, at: SimNs, wait: SimNs, service: SimNs) {
-        self.with(|r| {
-            let req = r.spans.current_req();
-            r.queues.dequeue_req(name, at, wait, service, req);
-        });
-    }
-
-    /// Records a queue error (full-ring stall, drop) on `name`.
-    pub fn queue_error(&self, name: &str, at: SimNs) {
-        self.with(|r| r.queues.error(name, at));
-    }
-
-    /// Discards everything queued on `name` (quarantine teardown),
-    /// returning the number of flushed items.
-    pub fn queue_flush(&self, name: &str, at: SimNs) -> u64 {
-        self.with(|r| r.queues.flush(name, at))
-    }
+    // --- queue observatory reads --------------------------------------
 
     /// Whether any queue station was declared in this run.
     pub fn has_queues(&self) -> bool {
@@ -215,27 +288,6 @@ impl FlightRecorder {
         self.with(|r| r.queues.max_current_depth(prefix))
     }
 
-    // --- profiler conveniences -----------------------------------------
-
-    /// Charges simulated time to a category — to the profiler and, in the
-    /// same locked step, to the ambient meter scope's ledger. Feeding both
-    /// from one call site is what makes the meter's conservation check an
-    /// exact equality.
-    pub fn charge(&self, cat: TimeCategory, d: SimNs) {
-        self.with(|r| {
-            r.profiler.charge(cat, d);
-            r.meter.charge_time(cat, d);
-        });
-    }
-
-    /// Charges simulated time to a category with a detail frame.
-    pub fn charge_detail(&self, cat: TimeCategory, detail: &str, d: SimNs) {
-        self.with(|r| {
-            r.profiler.charge_detail(cat, detail, d);
-            r.meter.charge_time(cat, d);
-        });
-    }
-
     // --- resource meter conveniences ------------------------------------
 
     /// Replaces the ambient meter scope, returning the previous one so the
@@ -248,29 +300,6 @@ impl FlightRecorder {
     /// The ambient meter scope.
     pub fn meter_scope(&self) -> MeterScope {
         self.with(|r| r.meter.scope())
-    }
-
-    /// Adds `amount` of a count resource to the ambient scope's ledger.
-    pub fn meter_count(&self, res: CountResource, amount: u64) {
-        self.with(|r| r.meter.add_count(res, amount));
-    }
-
-    /// Records that the ambient scope's current request occupied `worker`
-    /// for `[start, end)` (interference-matrix raw material).
-    pub fn meter_occupy(&self, worker: WorkerId, start: SimNs, end: SimNs) {
-        self.with(|r| {
-            let req = r.spans.current_req();
-            r.meter.record_occupancy(worker, req, start, end);
-        });
-    }
-
-    /// Records that the ambient scope's current request waited on `worker`
-    /// from `enqueued` until `started`.
-    pub fn meter_wait(&self, worker: WorkerId, enqueued: SimNs, started: SimNs) {
-        self.with(|r| {
-            let req = r.spans.current_req();
-            r.meter.record_wait(worker, req, enqueued, started);
-        });
     }
 
     /// Runs the meter's conservation self-test against the profiler and
@@ -293,11 +322,6 @@ impl FlightRecorder {
     /// waits attributed to whoever occupied the contended executor.
     pub fn interference_matrix(&self) -> crate::fairness::InterferenceMatrix {
         self.with(|r| crate::fairness::InterferenceMatrix::build(&r.meter))
-    }
-
-    /// Advances the elapsed-time watermark.
-    pub fn observe_instant(&self, at: SimNs) {
-        self.with(|r| r.profiler.observe_instant(at));
     }
 
     /// Current elapsed-time watermark (used to place attribution-local
@@ -361,11 +385,8 @@ impl FlightRecorder {
     }
 }
 
-/// Bridges the simulator's event stream into the recorder.
-///
-/// Counter names mirror [`EventKind`] variants one-to-one, so equality with
-/// `EventLog` query helpers (`context_switches()`, `world_switches()`, …)
-/// holds by construction: the same `record` call drives both.
+/// Bridges the simulator's event stream into the recorder: each machine
+/// event becomes one [`Event::Machine`] in the recorder's fold.
 pub struct RecorderSink(FlightRecorder);
 
 impl RecorderSink {
@@ -377,91 +398,7 @@ impl RecorderSink {
 
 impl EventSink for RecorderSink {
     fn on_event(&mut self, at: SimNs, kind: &EventKind) {
-        self.0.with(|r| {
-            r.profiler.observe_instant(at);
-            let m = &mut r.metrics;
-            match kind {
-                EventKind::WorldSwitch => {
-                    m.counter_add("world_switches", LabelSet::empty(), 1);
-                    r.meter.add_count(CountResource::WorldSwitches, 1);
-                }
-                EventKind::ContextSwitch { to, .. } => {
-                    m.counter_add("context_switches", labels(&[("to", &to.to_string())]), 1);
-                }
-                EventKind::RpcEnqueue { stream } => {
-                    m.counter_add(
-                        "srpc.enqueued",
-                        labels(&[("stream", &stream.to_string())]),
-                        1,
-                    );
-                }
-                EventKind::RpcDispatch { stream } => {
-                    m.counter_add(
-                        "srpc.dispatched",
-                        labels(&[("stream", &stream.to_string())]),
-                        1,
-                    );
-                }
-                EventKind::RpcSync { stream } => {
-                    m.counter_add("srpc.syncs", labels(&[("stream", &stream.to_string())]), 1);
-                }
-                EventKind::EncryptedRpc { bytes } => {
-                    m.counter_add("encrypted_rpc.messages", LabelSet::empty(), 1);
-                    m.counter_add("encrypted_rpc.bytes", LabelSet::empty(), *bytes);
-                }
-                EventKind::Faulted(_) => {
-                    m.counter_add("faults", LabelSet::empty(), 1);
-                }
-                EventKind::PartitionFailed { partition } => {
-                    m.counter_add(
-                        "partition.failed",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
-                }
-                EventKind::PartitionCleared { partition } => {
-                    m.counter_add(
-                        "partition.cleared",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
-                }
-                EventKind::PartitionRecovered { partition } => {
-                    m.counter_add(
-                        "partition.recovered",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
-                }
-                EventKind::MemoryShared { pages, .. } => {
-                    m.counter_add("memory.shared_pages", LabelSet::empty(), *pages as u64);
-                    r.meter.add_count(CountResource::Stage2Pages, *pages as u64);
-                }
-                EventKind::FailureSignal { partition } => {
-                    m.counter_add(
-                        "failure.signals",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
-                }
-                EventKind::DeviceIrq { count } => {
-                    m.counter_add("device.irqs", LabelSet::empty(), *count as u64);
-                    r.meter.add_count(CountResource::DeviceIrqs, *count as u64);
-                }
-                EventKind::Marker(label) => {
-                    m.counter_add("markers", LabelSet::empty(), 1);
-                    r.spans.instant(*label, at);
-                }
-            }
-        });
-    }
-}
-
-/// Charges the recorder (if present) — a shorthand for the `Option<&FlightRecorder>`
-/// plumbing in instrumented crates.
-pub fn charge_opt(rec: Option<&FlightRecorder>, cat: TimeCategory, d: SimNs) {
-    if let Some(rec) = rec {
-        rec.charge(cat, d);
+        self.0.record([Event::Machine(at, kind)]);
     }
 }
 
@@ -469,6 +406,9 @@ pub fn charge_opt(rec: Option<&FlightRecorder>, cat: TimeCategory, d: SimNs) {
 mod tests {
     use super::*;
     use crate::json::is_well_formed;
+    use crate::meter::{Principal, WorkerId};
+    use crate::profile::TimeCategory;
+    use crate::queue::QueueKind;
     use cronus_sim::AsId;
 
     fn ns(v: u64) -> SimNs {
@@ -500,19 +440,18 @@ mod tests {
     #[test]
     fn recorder_clones_share_state() {
         let rec = FlightRecorder::new();
-        let clone = rec.clone();
-        clone.counter_add("x", &[], 5);
+        rec.clone().record([Event::Count("x", &[], 5)]);
         assert_eq!(rec.lock().metrics.counter_total("x"), 5);
     }
 
     #[test]
     fn exports_are_well_formed() {
         let rec = FlightRecorder::new();
-        let t = rec.track("spm");
-        let s = rec.begin_span(t, "boot", "boot", ns(0));
-        rec.end_span(t, s, ns(100));
-        rec.observe("lat", &[("stream", "1")], ns(42));
-        rec.charge(TimeCategory::Ring, ns(10));
+        rec.record([
+            Work::spanned("spm", "boot", "boot", ns(0)..ns(100)).into(),
+            Event::Sample("lat", &[("stream", "1")], ns(42)),
+            Work::charge(TimeCategory::Ring, ns(10)).into(),
+        ]);
         assert!(is_well_formed(&rec.metrics_snapshot_json("unit")));
         assert!(is_well_formed(&rec.chrome_trace_json()));
     }
@@ -520,9 +459,11 @@ mod tests {
     #[test]
     fn attribution_in_snapshot_sums_to_elapsed() {
         let rec = FlightRecorder::new();
-        rec.charge(TimeCategory::Kernel, ns(700));
-        rec.charge_detail(TimeCategory::Ring, "enqueue", ns(300));
-        rec.observe_instant(ns(2_000));
+        rec.record([
+            Work::charge(TimeCategory::Kernel, ns(700)),
+            Work::charge_detail(TimeCategory::Ring, "enqueue", ns(300)),
+            Work::spanned("t", "tail", "x", ns(1_000)..ns(2_000)),
+        ]);
         let inner = rec.lock();
         let sum: u64 = inner
             .profiler
@@ -532,5 +473,73 @@ mod tests {
             .sum();
         assert_eq!(sum, inner.profiler.total_elapsed().as_nanos());
         assert_eq!(sum, 2_000);
+    }
+
+    /// One served-request event reaches every store and the stores agree;
+    /// a recorder fed only through `record` passes meter conservation.
+    #[test]
+    fn one_served_event_reaches_every_store() {
+        let rec = FlightRecorder::new();
+        let (station, worker) = ("srpc.ring:7.0", WorkerId::lane(7, 0));
+        let (enq, started, finished) = (ns(100), ns(350), ns(600));
+        let wait = started - enq;
+        rec.set_meter_scope(MeterScope::principal(Principal(3)).with_stream(7));
+        rec.set_current_req(Some(ReqId(11)));
+        rec.record([
+            Event::Declare(station, QueueKind::Ring, 8),
+            Event::Enqueued(station, enq),
+            Served::at(station, enq, started, finished)
+                .on_stream(7, worker)
+                .into(),
+            Work::charge_detail(TimeCategory::Kernel, "gemm", finished - started).into(),
+            Event::Machine(ns(1), &EventKind::WorldSwitch),
+        ]);
+        let r = rec.lock();
+        let q = r.queues.station(station).expect("declared");
+        assert_eq!(
+            (q.dequeues(), q.depth(), q.wait_histogram().max()),
+            (1, 0, wait)
+        );
+        assert_eq!(q.exemplars()[0].req, ReqId(11));
+        let hist = |name| {
+            r.metrics
+                .histogram(name, &labels(&[("stream", "7")]))
+                .map(|h| h.max())
+        };
+        assert_eq!(hist("srpc.enqueue_to_dispatch"), Some(wait));
+        assert_eq!(hist("srpc.request_latency"), Some(finished - enq));
+        let w = &r.meter.waits()[0];
+        assert_eq!((w.started - w.enqueued, w.req), (wait, Some(ReqId(11))));
+        let backlog = r
+            .spans
+            .spans()
+            .iter()
+            .find(|s| s.cat == "backlog")
+            .expect("span");
+        assert_eq!(backlog.end.map(|e| e - backlog.start), Some(wait));
+        assert_eq!(r.meter.occupancy_of(worker).len(), 1);
+        let slot_ns = r.meter.count_of(Principal(3), CountResource::RingSlotNs);
+        assert_eq!(slot_ns, (finished - enq).as_nanos());
+        assert!(r.meter.check_conservation(&r.profiler, &r.metrics).is_ok());
+    }
+
+    #[test]
+    fn detached_spans_and_scoped_work_leave_the_ambient_state_alone() {
+        let rec = FlightRecorder::new();
+        rec.set_current_req(Some(ReqId(4)));
+        rec.record([
+            Work::spanned("gpu:1", "k", "kernel", ns(0)..ns(10)).detached(),
+            Work::charge(TimeCategory::Memcpy, ns(5))
+                .meter(CountResource::DmaBytes, 64)
+                .scoped(MeterScope::principal(Principal(9))),
+        ]);
+        let r = rec.lock();
+        assert_eq!(
+            (r.spans.spans()[0].req, r.spans.current_req()),
+            (None, Some(ReqId(4)))
+        );
+        assert_eq!(r.meter.scope(), MeterScope::SYSTEM);
+        assert_eq!(r.meter.time_of(Principal(9), TimeCategory::Memcpy), 5);
+        assert_eq!(r.meter.count_of(Principal(9), CountResource::DmaBytes), 64);
     }
 }

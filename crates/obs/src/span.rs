@@ -21,8 +21,7 @@ pub struct SpanId(pub u64);
 /// Allocated by [`crate::FlightRecorder::alloc_req`] at sRPC enqueue time and
 /// carried through dispatch, DMA, kernel execution and completion, so every
 /// span a request causes — on any track — can be stitched back together.
-/// `ReqId(0)` is never allocated and acts as the "untracked" sentinel for
-/// systems running without a recorder.
+/// Ids start at 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 

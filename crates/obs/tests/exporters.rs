@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use cronus_obs::{parse, FlightRecorder, Json};
+use cronus_obs::{parse, Event, FlightRecorder, Json, Work};
 use cronus_sim::SimNs;
 use proptest::prelude::*;
 use proptest::Strategy;
@@ -46,10 +46,9 @@ proptest! {
             } else {
                 rec.set_current_req(None);
             }
-            let t = rec.track(track);
             let start = SimNs::from_nanos(now);
             let end = SimNs::from_nanos(now + u64::from(*len) + 1);
-            rec.complete_span(t, name.clone(), "srpc", start, end);
+            rec.record([Work::spanned(track, name.as_str(), "srpc", start..end)]);
             now += u64::from(*len) + 2;
         }
         let json = rec.chrome_trace_json();
@@ -70,9 +69,12 @@ proptest! {
     ) {
         let rec = FlightRecorder::new();
         for (name, key, value, v) in &entries {
-            rec.counter_add(name, &[(key.as_str(), value.as_str())], u64::from(*v));
-            rec.gauge_set(name, &[(key.as_str(), value.as_str())], -i64::from(*v));
-            rec.observe(name, &[(key.as_str(), value.as_str())], SimNs::from_nanos(u64::from(*v)));
+            let labels = &[(key.as_str(), value.as_str())];
+            rec.record([
+                Event::Count(name, labels, u64::from(*v)),
+                Event::Gauge(name, labels, -i64::from(*v)),
+                Event::Sample(name, labels, SimNs::from_nanos(u64::from(*v))),
+            ]);
         }
         let json = rec.metrics_snapshot_json(&run);
         let doc = parse(&json);
@@ -87,14 +89,7 @@ proptest! {
             let req = rec.alloc_req();
             rec.set_current_req(Some(req));
             for k in 0..*n {
-                let t = rec.track(&format!("track:{}", k % 3));
-                rec.complete_span(
-                    t,
-                    format!("step{ri}.{k}"),
-                    "srpc",
-                    SimNs::from_nanos(now),
-                    SimNs::from_nanos(now + 10),
-                );
+                rec.record([Work::spanned(&format!("track:{}", k % 3), format!("step{ri}.{k}"), "srpc", SimNs::from_nanos(now)..SimNs::from_nanos(now + 10))]);
                 now += 20;
             }
         }

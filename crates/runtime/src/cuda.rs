@@ -22,7 +22,7 @@ use cronus_devices::gpu::{GpuBuffer, GpuContextId, GpuKernelDesc, KernelArg, Ker
 use cronus_devices::DeviceKind;
 use cronus_mos::hal::DeviceCtx;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::{CountResource, MeterScope, Principal, TimeCategory};
+use cronus_obs::{CountResource, Event, MeterScope, Principal, TimeCategory, Work};
 use cronus_sim::addr::{VirtAddr, PAGE_SIZE};
 use cronus_sim::pagetable::{Access, PagePerms};
 use cronus_sim::SimNs;
@@ -392,6 +392,12 @@ impl CudaContext {
         Ok(())
     }
 
+    /// Staging copies are metered to the caller partition under this
+    /// stream's sub-account.
+    fn meter_scope(&self) -> MeterScope {
+        MeterScope::principal(Principal(self.cpu.asid.as_u32())).with_stream(self.stream.as_u64())
+    }
+
     fn stage_reserve(&mut self, sys: &mut CronusSystem, len: u64) -> Result<u64, CudaError> {
         debug_assert!(len <= self.staging_bytes);
         if self.staging_cursor + len > self.staging_bytes {
@@ -434,18 +440,16 @@ impl CudaContext {
             )?;
             let cost = sys.spm().machine().cost().memcpy(n);
             sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_write", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("cuda.memcpy_bytes", &[("dir", "h2d")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
+            let track = format!("enclave:{}", self.cpu.eid);
             let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_write", "memcpy", now - cost, now);
+            sys.recorder().record([
+                Work::charge_detail(TimeCategory::Memcpy, "staging_write", cost)
+                    .meter(CountResource::DmaBytes, n)
+                    .scoped(self.meter_scope())
+                    .span(&track, "staging_write", "memcpy", now - cost..now)
+                    .into(),
+                Event::Count("cuda.memcpy_bytes", &[("dir", "h2d")], n),
+            ]);
 
             let mut w = Writer::new();
             w.u64(dst.0).u64(done).u64(off).u64(n);
@@ -489,18 +493,16 @@ impl CudaContext {
             let read = sys.shared_read(self.cpu, self.staging_caller_va.add(off), &mut buf);
             let cost = sys.spm().machine().cost().memcpy(n);
             sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_read", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("cuda.memcpy_bytes", &[("dir", "d2h")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
+            let track = format!("enclave:{}", self.cpu.eid);
             let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_read", "memcpy", now - cost, now);
+            sys.recorder().record([
+                Work::charge_detail(TimeCategory::Memcpy, "staging_read", cost)
+                    .meter(CountResource::DmaBytes, n)
+                    .scoped(self.meter_scope())
+                    .span(&track, "staging_read", "memcpy", now - cost..now)
+                    .into(),
+                Event::Count("cuda.memcpy_bytes", &[("dir", "d2h")], n),
+            ]);
             sys.set_current_req(None);
             read?;
             out.extend_from_slice(&buf);
@@ -586,15 +588,13 @@ impl CudaContext {
                 .map_err(|e| CudaError::System(e.into()))?
         };
         sys.advance_enclave(self.cpu, t);
-        let rec = sys.recorder();
-        let prev = rec.set_meter_scope(
-            MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                .with_stream(self.stream.as_u64()),
-        );
-        rec.charge_detail(TimeCategory::Memcpy, "p2p", t);
-        rec.meter_count(CountResource::DmaBytes, bytes);
-        rec.set_meter_scope(prev);
-        rec.counter_add("cuda.memcpy_bytes", &[("dir", "p2p")], bytes);
+        sys.recorder().record([
+            Work::charge_detail(TimeCategory::Memcpy, "p2p", t)
+                .meter(CountResource::DmaBytes, bytes)
+                .scoped(self.meter_scope())
+                .into(),
+            Event::Count("cuda.memcpy_bytes", &[("dir", "p2p")], bytes),
+        ]);
         Ok(t)
     }
 }

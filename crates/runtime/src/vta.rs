@@ -16,7 +16,7 @@ use cronus_devices::npu::{AluOp, NpuBuffer, NpuContextId, VtaInsn, VtaProgram};
 use cronus_devices::DeviceKind;
 use cronus_mos::hal::DeviceCtx;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::{CountResource, MeterScope, Principal, TimeCategory};
+use cronus_obs::{CountResource, Event, MeterScope, Principal, TimeCategory, Work};
 use cronus_sim::addr::{VirtAddr, PAGE_SIZE};
 use cronus_sim::pagetable::{Access, PagePerms};
 use cronus_sim::SimNs;
@@ -423,6 +423,12 @@ impl VtaContext {
         ))
     }
 
+    /// Staging copies are metered to the caller partition under this
+    /// stream's sub-account.
+    fn meter_scope(&self) -> MeterScope {
+        MeterScope::principal(Principal(self.cpu.asid.as_u32())).with_stream(self.stream.as_u64())
+    }
+
     fn stage_reserve(&mut self, sys: &mut CronusSystem, len: u64) -> Result<u64, VtaError> {
         if self.staging_cursor + len > self.staging_bytes {
             sys.sync(self.stream)?;
@@ -459,18 +465,16 @@ impl VtaContext {
             )?;
             let cost = sys.spm().machine().cost().memcpy(n);
             sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_write", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("vta.memcpy_bytes", &[("dir", "h2d")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
+            let track = format!("enclave:{}", self.cpu.eid);
             let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_write", "memcpy", now - cost, now);
+            sys.recorder().record([
+                Work::charge_detail(TimeCategory::Memcpy, "staging_write", cost)
+                    .meter(CountResource::DmaBytes, n)
+                    .scoped(self.meter_scope())
+                    .span(&track, "staging_write", "memcpy", now - cost..now)
+                    .into(),
+                Event::Count("vta.memcpy_bytes", &[("dir", "h2d")], n),
+            ]);
             let mut w = Writer::new();
             w.u64(dst.0).u64(done).u64(off).u64(n);
             sys.call(self.stream, "vtaMemcpyH2D")
@@ -511,18 +515,16 @@ impl VtaContext {
             let read = sys.shared_read(self.cpu, self.staging_caller_va.add(off), &mut buf);
             let cost = sys.spm().machine().cost().memcpy(n);
             sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_read", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("vta.memcpy_bytes", &[("dir", "d2h")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
+            let track = format!("enclave:{}", self.cpu.eid);
             let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_read", "memcpy", now - cost, now);
+            sys.recorder().record([
+                Work::charge_detail(TimeCategory::Memcpy, "staging_read", cost)
+                    .meter(CountResource::DmaBytes, n)
+                    .scoped(self.meter_scope())
+                    .span(&track, "staging_read", "memcpy", now - cost..now)
+                    .into(),
+                Event::Count("vta.memcpy_bytes", &[("dir", "d2h")], n),
+            ]);
             sys.set_current_req(None);
             read?;
             out.extend_from_slice(&buf);

@@ -30,7 +30,7 @@ use cronus_mos::hal::DeviceHal;
 use cronus_mos::manager::Owner;
 use cronus_mos::manifest::{Eid, Manifest, MosId};
 use cronus_mos::mos::{MicroOs, MosError, MosStatus};
-use cronus_obs::{FlightRecorder, QueueKind, TimeCategory};
+use cronus_obs::{Event, FlightRecorder, QueueKind, Served, TimeCategory, Work};
 use cronus_sim::addr::{PhysAddr, PhysRange, VirtAddr};
 use cronus_sim::devtree::{DeviceTree, DtNode};
 use cronus_sim::machine::AsId;
@@ -273,7 +273,7 @@ pub struct Spm {
     vendors: HashMap<DeviceId, (String, cronus_crypto::Signature)>,
     shares: Vec<ShareRecord>,
     next_share: u64,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
     /// When each failed partition's recovery work item was enqueued (virtual
     /// time), consumed by `recover_partition` for the `spm.recovery` queue.
     recovery_enqueued: HashMap<AsId, SimNs>,
@@ -287,6 +287,18 @@ impl fmt::Debug for Spm {
             .field("shares", &self.shares.len())
             .finish_non_exhaustive()
     }
+}
+
+/// One failover phase: `t` charged to `recovery;<step>` and drawn as
+/// `<step> <asid>` on the `recovery` track from `start`.
+fn recovery_phase(step: &'static str, asid: AsId, start: SimNs, t: SimNs) -> Work<'static> {
+    let name = format!("{step} {asid}");
+    Work::charge_detail(TimeCategory::Recovery, step, t).span(
+        "recovery",
+        name,
+        "recovery",
+        start..start + t,
+    )
 }
 
 /// Derives a partition's address-space id from its mOS id.
@@ -419,6 +431,22 @@ impl Spm {
             },
         );
 
+        // Every SPM records from the end of boot (boot-time machine events
+        // stay in the event log only): the machine's event stream feeds the
+        // recorder's counters (so they agree with the `EventLog` by
+        // construction), the SPM charges recovery phases to it, and the bus
+        // and every device HAL draw transfer and kernel spans on it.
+        let recorder = FlightRecorder::new();
+        machine.set_event_sink(recorder.sink());
+        bus.set_recorder(recorder.clone());
+        for mos in partitions.values_mut() {
+            match mos.hal_mut() {
+                DeviceHal::Gpu(g) => g.set_recorder(recorder.clone()),
+                DeviceHal::Npu(n) => n.set_recorder(recorder.clone()),
+                DeviceHal::Cpu(_) => {}
+            }
+        }
+        recorder.record([Event::Declare("spm.recovery", QueueKind::Recovery, 0)]);
         Spm {
             machine,
             bus,
@@ -428,19 +456,16 @@ impl Spm {
             vendors,
             shares: Vec::new(),
             next_share: 1,
-            recorder: None,
+            recorder,
             recovery_enqueued: HashMap::new(),
             ledger,
         }
     }
 
     /// Current virtual time for ledger records: the recorder's elapsed-time
-    /// watermark, or [`SimNs::ZERO`] before one is installed.
+    /// watermark.
     fn now(&self) -> SimNs {
-        self.recorder
-            .as_ref()
-            .map(FlightRecorder::total_elapsed)
-            .unwrap_or(SimNs::ZERO)
+        self.recorder.total_elapsed()
     }
 
     /// The security-event ledger (every SPM instance has one; the core
@@ -449,27 +474,9 @@ impl Spm {
         &self.ledger
     }
 
-    /// Installs a flight recorder: the machine's event stream feeds its
-    /// counters (so they agree with the `EventLog` by construction), the SPM
-    /// charges recovery phases to it, and every device HAL gains kernel-level
-    /// spans and metrics.
-    pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        self.machine.set_event_sink(rec.sink());
-        self.bus.set_recorder(rec.clone());
-        for mos in self.partitions.values_mut() {
-            match mos.hal_mut() {
-                DeviceHal::Gpu(g) => g.set_recorder(rec.clone()),
-                DeviceHal::Npu(n) => n.set_recorder(rec.clone()),
-                DeviceHal::Cpu(_) => {}
-            }
-        }
-        rec.queue_declare("spm.recovery", QueueKind::Recovery, 0);
-        self.recorder = Some(rec);
-    }
-
-    /// The installed flight recorder, if any.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
+    /// The flight recorder.
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
     }
 
     /// The machine (read side).
@@ -672,13 +679,11 @@ impl Spm {
             to: peer_asid,
             pages,
         });
-        if let Some(rec) = &self.recorder {
-            // Both partitions map the pages (Figure 6 steps 2–3).
-            rec.charge(
-                TimeCategory::Mgmt,
-                self.machine.cost().page_map * (2 * pages as u64),
-            );
-        }
+        // Both partitions map the pages (Figure 6 steps 2–3).
+        self.recorder.record([Work::charge(
+            TimeCategory::Mgmt,
+            self.machine.cost().page_map * (2 * pages as u64),
+        )]);
         self.shares.push(ShareRecord {
             handle,
             owner,
@@ -739,10 +744,10 @@ impl Spm {
                 newly.push(asid);
             }
         }
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("failure.detect_sweeps", &[], 1);
-            rec.counter_add("failure.detected", &[], newly.len() as u64);
-        }
+        self.recorder.record([
+            Event::Count("failure.detect_sweeps", &[], 1),
+            Event::Count("failure.detected", &[], newly.len() as u64),
+        ]);
         let at = self.now();
         for asid in &newly {
             self.ledger.append(
@@ -803,21 +808,13 @@ impl Spm {
         // failed → invalidated → cleared → recovered ordering.
         self.machine
             .record(EventKind::Marker("failover:invalidated"));
-        if let Some(rec) = &self.recorder {
-            let track = rec.track("recovery");
-            let start = rec.total_elapsed();
-            rec.complete_span(
-                track,
-                format!("invalidate {asid}"),
-                "recovery",
-                start,
-                start + t,
-            );
-            rec.charge_detail(TimeCategory::Recovery, "invalidate", t);
+        let start = self.now();
+        self.recorder.record([
+            recovery_phase("invalidate", asid, start, t).into(),
             // The clear+reload work item now waits for recover_partition.
-            rec.queue_enqueue("spm.recovery", start);
-            self.recovery_enqueued.insert(asid, start);
-        }
+            Event::Enqueued("spm.recovery", start),
+        ]);
+        self.recovery_enqueued.insert(asid, start);
         let at = self.now();
         self.ledger.append(
             asid.as_u32(),
@@ -904,30 +901,16 @@ impl Spm {
             restart_time: cost.mos_restart,
         };
         let recovery_enq = self.recovery_enqueued.remove(&asid);
-        if let Some(rec) = &self.recorder {
-            let track = rec.track("recovery");
-            let t0 = rec.total_elapsed();
-            let t1 = t0 + stats.clear_time;
-            rec.complete_span(track, format!("clear {asid}"), "recovery", t0, t1);
-            rec.complete_span(
-                track,
-                format!("reload {asid}"),
-                "recovery",
-                t1,
-                t1 + stats.restart_time,
-            );
-            rec.charge_detail(TimeCategory::Recovery, "clear", stats.clear_time);
-            rec.charge_detail(TimeCategory::Recovery, "reload", stats.restart_time);
-            if let Some(enq_at) = recovery_enq {
-                let service = stats.clear_time + stats.restart_time;
-                rec.queue_dequeue(
-                    "spm.recovery",
-                    t1 + stats.restart_time,
-                    t0.saturating_sub(enq_at),
-                    service,
-                );
-            }
-        }
+        let t0 = self.now();
+        let t1 = t0 + stats.clear_time;
+        let phases = [
+            recovery_phase("clear", asid, t0, stats.clear_time),
+            recovery_phase("reload", asid, t1, stats.restart_time),
+        ];
+        let served = recovery_enq
+            .map(|enq| Event::Served(Served::at("spm.recovery", enq, t0, t1 + stats.restart_time)));
+        self.recorder
+            .record(phases.into_iter().map(Event::Work).chain(served));
         let at = self.now();
         for step in ["clear", "reload"] {
             self.ledger.append(
@@ -1013,23 +996,16 @@ impl Spm {
             partition: survivor,
         });
         self.shares[idx].state = ShareState::Reclaimed;
-        if let Some(rec) = &self.recorder {
-            let t = self.machine.cost().page_unmap * (unmapped.max(1) as u64);
-            let track = rec.track("recovery");
-            let start = rec.total_elapsed();
-            rec.complete_span(
-                track,
-                format!("trap {survivor}"),
-                "recovery",
-                start,
-                start + t,
-            );
-            rec.charge_detail(TimeCategory::Recovery, "trap", t);
+        let t = self.machine.cost().page_unmap * (unmapped.max(1) as u64);
+        let start = self.now();
+        let station = "spm.recovery";
+        self.recorder.record([
+            recovery_phase("trap", survivor, start, t).into(),
             // Trap handling is serviced synchronously inside the fault path:
             // zero wait, unmap-time service.
-            rec.queue_enqueue("spm.recovery", start);
-            rec.queue_dequeue("spm.recovery", start + t, SimNs::ZERO, t);
-        }
+            Event::Enqueued(station, start),
+            Served::at(station, start, start, start + t).into(),
+        ]);
         let at = self.now();
         self.ledger.append(
             survivor.as_u32(),

@@ -48,7 +48,9 @@
 # OBSERVABILITY.md, "Explaining a regression"): regenerates fresh telemetry
 # bundles for representative figures and self-diffs them against the
 # committed BUNDLE_*.json baselines with `obs diff`, which must report "no
-# significant deltas" (exit 0) on a clean tree.
+# significant deltas" (exit 0) on a clean tree; then requires every fresh
+# BENCH_*/BUNDLE_*.json under target/bench to be byte-identical to its
+# committed copy.
 #
 # With --meter, also runs the resource-metering gate (see OBSERVABILITY.md,
 # "Who is using the machine?"): `obs meter` replays every figure plus the
@@ -150,6 +152,17 @@ if [[ "$run_diff" -eq 1 ]]; then
     echo "--- obs diff $name"
     cargo run --offline --release -q --bin obs -- diff \
       --baseline "$base" --candidate "$fresh" --verdict
+  done
+
+  echo "==> diff gate: fresh BENCH_*/BUNDLE_* byte-identical to the committed copies"
+  # Simulated time is deterministic per seed, so an unexplained byte of
+  # drift is a regression even when no headline moves past its tolerance.
+  for fresh in target/bench/BENCH_*.json target/bench/BUNDLE_*.json; do
+    base="$(basename "$fresh")"
+    if ! cmp "$fresh" "$base"; then
+      echo "diff gate: $fresh differs from committed $base — explain the change and run scripts/rebaseline.sh" >&2
+      exit 1
+    fi
   done
 fi
 

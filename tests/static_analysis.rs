@@ -34,8 +34,17 @@ fn scaffold() -> Vec<(String, String)> {
             "crates/obs/src/recorder.rs".into(),
             "pub struct FlightRecorder;\n\
              impl FlightRecorder {\n\
-                 pub fn begin_span(&self, name: String) -> u64 { name.len() as u64 }\n\
-                 pub fn complete_span(&self, name: String) { let _ = name; }\n\
+                 pub fn record(&self, event: String) { let _ = event; }\n\
+             }\n"
+            .into(),
+        ),
+        // A second, non-sink `record` method, as in the real repo: method
+        // calls resolve by name, so `rec.record(..)` is ambiguous.
+        (
+            "crates/sim/src/trace.rs".into(),
+            "pub struct EventLog;\n\
+             impl EventLog {\n\
+                 pub fn record(&mut self, at: u64, kind: u8) { let _ = (at, kind); }\n\
              }\n"
             .into(),
         ),
@@ -74,7 +83,7 @@ fn secret_key_into_span_label_trips_secret_taint_only() {
          use cronus_obs::recorder::FlightRecorder;\n\
          pub fn boot_monitor(rec: &FlightRecorder) {\n\
              let platform = KeyPair::from_seed(\"fused-rom\");\n\
-             rec.begin_span(format!(\"boot key={platform}\"));\n\
+             rec.record(format!(\"boot key={platform}\"));\n\
          }\n"
         .into(),
     )]);
@@ -83,7 +92,43 @@ fn secret_key_into_span_label_trips_secret_taint_only() {
     assert_eq!(f.rule, "secret-taint");
     assert_eq!(f.path, "crates/spm/src/monitor.rs");
     assert_eq!(f.line, 5);
-    assert!(f.message.contains("begin_span"), "{}", f.message);
+    assert!(
+        f.message.contains("FlightRecorder::record"),
+        "{}",
+        f.message
+    );
+    let notes = chain_notes(&r, 0);
+    assert!(
+        notes[0].contains("secret source `cronus_crypto::schnorr::KeyPair::from_seed`"),
+        "{notes:?}"
+    );
+    assert!(notes.iter().any(|n| n.contains("`platform`")), "{notes:?}");
+    assert!(notes.last().unwrap().contains("sink"), "{notes:?}");
+}
+
+#[test]
+fn secret_inside_event_struct_literal_passed_to_record_trips_secret_taint_only() {
+    let r = report_for(vec![(
+        "crates/spm/src/monitor.rs".into(),
+        "use cronus_crypto::schnorr::KeyPair;\n\
+         use cronus_obs::event::Served;\n\
+         use cronus_obs::recorder::FlightRecorder;\n\
+         pub fn boot_monitor(rec: &FlightRecorder, t: u64) {\n\
+             let platform = KeyPair::from_seed(\"fused-rom\");\n\
+             rec.record([Served { station: &format!(\"key={platform}\"), enqueued: t, started: t, finished: t, srpc: None }]);\n\
+         }\n"
+        .into(),
+    )]);
+    assert_eq!(r.findings.len(), 1, "exactly one finding:\n{}", r.render());
+    let f = &r.findings[0];
+    assert_eq!(f.rule, "secret-taint");
+    assert_eq!(f.path, "crates/spm/src/monitor.rs");
+    assert_eq!(f.line, 6);
+    assert!(
+        f.message.contains("FlightRecorder::record"),
+        "{}",
+        f.message
+    );
     let notes = chain_notes(&r, 0);
     assert!(
         notes[0].contains("secret source `cronus_crypto::schnorr::KeyPair::from_seed`"),
@@ -171,7 +216,7 @@ fn digest_then_record_and_public_declassifier_are_clean() {
              let platform = KeyPair::from_seed(\"fused-rom\");\n\
              let digest = measure(\"platform-key\", seed_bytes);\n\
              let pk = platform.public();\n\
-             rec.begin_span(format!(\"boot digest={digest} pk={pk}\"));\n\
+             rec.record(format!(\"boot digest={digest} pk={pk}\"));\n\
          }\n"
         .into(),
     )]);
@@ -215,7 +260,7 @@ fn baseline_ratchet_suppresses_then_flags_regressions_and_staleness() {
          use cronus_obs::recorder::FlightRecorder;\n\
          pub fn boot_monitor(rec: &FlightRecorder) {\n\
              let platform = KeyPair::from_seed(\"fused-rom\");\n\
-             rec.begin_span(format!(\"boot key={platform}\"));\n\
+             rec.record(format!(\"boot key={platform}\"));\n\
          }\n"
         .to_string(),
     )];
@@ -233,7 +278,7 @@ fn baseline_ratchet_suppresses_then_flags_regressions_and_staleness() {
     worse[0].1.push_str(
         "pub fn boot_monitor_again(rec: &FlightRecorder) {\n\
              let atk = KeyPair::from_seed(\"atk\");\n\
-             rec.complete_span(format!(\"atk={atk}\"));\n\
+             rec.record(format!(\"atk={atk}\"));\n\
          }\n",
     );
     let r2 = report_for(worse);
